@@ -49,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=15s ./internal/sqlparse
 	$(GO) test -run=^$$ -fuzz=FuzzSegmentDecode -fuzztime=15s ./internal/segment
 	$(GO) test -run=^$$ -fuzz=FuzzSubsumption -fuzztime=15s ./internal/synopsis
+	$(GO) test -run=^$$ -fuzz=FuzzOrderAwareMoments -fuzztime=15s ./internal/estimator
 
 clean:
 	rm -rf $(BIN)

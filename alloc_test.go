@@ -1,10 +1,17 @@
 package gus
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/sampling-algebra/gus/internal/tpch"
 )
+
+const fusedJoinSQL = `
+SELECT SUM(l_discount*(1.0-l_tax))
+FROM lineitem TABLESAMPLE (10 PERCENT), orders TABLESAMPLE (1000 ROWS)
+WHERE l_orderkey = o_orderkey AND l_extendedprice > 100.0`
 
 // TestFusedJoinAllocBudget is the allocation-budget guard for the keyed
 // hot path: the full join-heavy pipeline (parse, plan, fused sampled
@@ -25,12 +32,8 @@ func TestFusedJoinAllocBudget(t *testing.T) {
 	if err := db.AttachTPCHConfig(tpch.Config{Orders: 8000, Customers: 800, Parts: 200, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	const sql = `
-SELECT SUM(l_discount*(1.0-l_tax))
-FROM lineitem TABLESAMPLE (10 PERCENT), orders TABLESAMPLE (1000 ROWS)
-WHERE l_orderkey = o_orderkey AND l_extendedprice > 100.0`
 	query := func() {
-		if _, err := db.Query(sql, WithWorkers(1), WithSeed(7)); err != nil {
+		if _, err := db.Query(fusedJoinSQL, WithWorkers(1), WithSeed(7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,5 +42,102 @@ WHERE l_orderkey = o_orderkey AND l_extendedprice > 100.0`
 	if n := testing.AllocsPerRun(5, query); n > budget {
 		t.Fatalf("fused join path allocates %.0f times per query, budget %d — "+
 			"per-row key materialization has crept back in", n, budget)
+	}
+}
+
+// TestTracedJoinAllocBudget freezes what tracing may cost the same join:
+// gusserve traces every request, so the traced path is the served path. A
+// trace adds a span per stage and the variance diagnostics, which ride on
+// the moment kernel's own pass — neither scales with the sample. The
+// traced count must stay within twice the untraced one (632 vs 510
+// measured; the string-keyed diagnostics pass this replaced allocated per
+// sample row: 200 046 vs 5 093 on the benchmark's join). Skipped under
+// the race detector, which drops pool Puts at random.
+func TestTracedJoinAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is not meaningful with -short's tiny data")
+	}
+	if raceEnabled {
+		t.Skip("race detector drops random sync.Pool puts; alloc counts are not stable")
+	}
+	db := Open()
+	if err := db.AttachTPCHConfig(tpch.Config{Orders: 8000, Customers: 800, Parts: 200, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	query := func(traced bool) func() {
+		return func() {
+			opts := []Option{WithWorkers(1), WithSeed(7)}
+			if traced {
+				opts = append(opts, WithTrace(&Trace{}))
+			}
+			if _, err := db.Query(fusedJoinSQL, opts...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	query(false)() // warm caches (snapshots, pools) before measuring
+	query(true)()
+	untraced := testing.AllocsPerRun(5, query(false))
+	traced := testing.AllocsPerRun(5, query(true))
+	if traced > 2*untraced {
+		t.Fatalf("traced join allocates %.0f times per query, untraced %.0f — tracing "+
+			"may at most double it; a per-row diagnostics pass has crept back in", traced, untraced)
+	}
+}
+
+// joinEstimateShapeDB is a two-relation foreign-key join at a scale where
+// the join's scratch (hash table, selection vectors, per-side samples)
+// runs to megabytes — the shape and proportions of the paper's Query 1 —
+// served from memory-mapped segments, as gusserve serves it, so the Go
+// heap holds query state only.
+func joinEstimateShapeDB(t *testing.T) (*DB, string) {
+	t.Helper()
+	gen := Open()
+	if err := gen.AttachTPCHConfig(tpch.Config{Orders: 50000, Customers: 5000, Parts: 2000, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := gen.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db, `
+SELECT SUM(l_extendedprice*(1.0-l_discount))
+FROM lineitem TABLESAMPLE (20 PERCENT), orders TABLESAMPLE (50 PERCENT)
+WHERE l_orderkey = o_orderkey AND o_totalprice > 1000.0`
+}
+
+// TestTracedJoinHeapFootprint guards the scratch pools against the
+// ratchet an unclassed pool has: a request pops whatever buffer is on top
+// and, when it is too small, replaces it with one of its own size, so
+// every pooled buffer drifts toward the largest size ever requested.
+// Frequent GCs used to hide that by emptying the pools; once the estimator
+// stopped producing garbage they stopped too, and a server answering
+// nothing but this join held several times the memory. The loop runs
+// traced queries (what gusserve runs) with no forced GC and bounds the
+// heap the process still holds at the end: 7 MB measured with the
+// size-classed, span-bounded pool, 43 MB with one sync.Pool per type.
+func TestTracedJoinHeapFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs a join large enough for megabyte scratch buffers")
+	}
+	db, sql := joinEstimateShapeDB(t)
+	debug.FreeOSMemory() // a clean baseline (the generator's tables, earlier tests); the loop itself forces nothing
+	for seed := uint64(0); seed < 300; seed++ {
+		if _, err := db.Query(sql, WithSeed(seed), WithTrace(&Trace{})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	held := float64(ms.HeapSys-ms.HeapReleased) / (1 << 20)
+	t.Logf("%.1f MB of heap held after 300 traced joins", held)
+	const boundMB = 21
+	if held > boundMB {
+		t.Fatalf("%.0f MB of heap held after 300 traced joins, bound %d MB: scratch buffers are ratcheting", held, boundMB)
 	}
 }

@@ -45,7 +45,6 @@ import (
 	"github.com/sampling-algebra/gus/internal/ops"
 	"github.com/sampling-algebra/gus/internal/plan"
 	"github.com/sampling-algebra/gus/internal/relation"
-	"github.com/sampling-algebra/gus/internal/sampling"
 	"github.com/sampling-algebra/gus/internal/sqlparse"
 	"github.com/sampling-algebra/gus/internal/stats"
 	"github.com/sampling-algebra/gus/internal/synopsis"
@@ -381,12 +380,6 @@ type queryOptions struct {
 	rowEngine       bool
 	noZoneSkip      bool
 	noSynopsis      bool
-	// distinctLineage is derived per execution in runInner (never set by
-	// an Option): true when the plan shape guarantees each base tuple ID
-	// appears at most once per lineage slot, letting the estimator skip
-	// duplicate grouping (see estimator.Options.DistinctLineage).
-	distinctLineage bool
-
 	// Progressive (QueryProgressive) settings; ignored by Query.
 	targetRelCI float64
 	deadline    time.Duration
@@ -523,8 +516,7 @@ type Value struct {
 	// the effective term count, and structural caveats (delta-method
 	// variance, clamping). VarianceRSE is that relative standard error.
 	// Both are set only when the query carries a trace (WithTrace or
-	// EXPLAIN ANALYZE) — the diagnostics pass is gated off the untraced
-	// hot path, which stays allocation-free.
+	// EXPLAIN ANALYZE): diagnostics ride along with tracing.
 	Reliability string
 	VarianceRSE float64
 
@@ -762,19 +754,8 @@ func (db *DB) runInner(ctx context.Context, planned *sqlparse.Planned, o queryOp
 	}
 	cards := map[string]int{}
 	scanned := 0
-	// Samples drawn from a plan without set operations carry each base
-	// tuple ID at most once per lineage slot (self-joins are rejected at
-	// planning), so the estimator may group moments without hashing. SYSTEM
-	// sampling is the other exception: it rewrites lineage to block IDs,
-	// which repeat for every tuple of a kept block.
-	o.distinctLineage = true
 	plan.Walk(planned.Root, func(n plan.Node) {
-		switch s := n.(type) {
-		case *plan.Sample:
-			if _, isBlock := s.Method.(*sampling.Block); isBlock {
-				o.distinctLineage = false
-			}
-		case *plan.Scan:
+		if s, ok := n.(*plan.Scan); ok {
 			alias := s.Rel.Name()
 			if s.Alias != "" {
 				alias = s.Alias
@@ -787,8 +768,6 @@ func (db *DB) runInner(ctx context.Context, planned *sqlparse.Planned, o queryOp
 				cards[alias] = s.FullRows
 			}
 			scanned += s.Rel.Len()
-		case *plan.Union, *plan.Intersect:
-			o.distinctLineage = false
 		}
 	})
 	res := &Result{
@@ -1025,12 +1004,9 @@ func (db *DB) evalAggregate(g *core.Params, s aggSample, agg sqlparse.Aggregate,
 		MaxVarianceRows: o.maxVarianceRows,
 		Seed:            o.seed + 0x5b0c,
 		Workers:         o.workers,
-		DistinctLineage: o.distinctLineage,
 		Trace:           o.trace,
-		// Variance diagnostics ride along with tracing: the extra
-		// read-only pass allocates, so it is gated off the untraced hot
-		// path (never changing results either way — see the bit-identity
-		// tests).
+		// Variance diagnostics ride along with tracing (never changing
+		// results either way — see the bit-identity tests).
 		Diagnostics: o.trace != nil,
 	}
 	f := agg.Arg

@@ -26,8 +26,8 @@ and recycles its buffers, so later reads see recycled memory. Releases
 inside a branch that terminates (returns/panics) do not poison the
 fall-through path; `+"`defer b.Release()`"+` is always safe.
 
-Pool leaks: a variable assigned from a same-package sync.Pool getter
-(a function whose body calls .Get on a sync.Pool) must be mentioned in
+Pool leaks: a variable assigned from a same-package pool getter (a
+function whose body calls .Get on a sync.Pool or batch.SlicePool) must be mentioned in
 at least one sink: a same-package putter call (a function whose body
 calls .Put), a Release, a return, a composite literal, a store into a
 field/index/slice, an append, a channel send, or capture by a function
@@ -283,7 +283,7 @@ func reportReleasedUses(pass *Pass, n any, rel released) {
 
 // poolAccessors scans the package for getter and putter functions:
 // package-level functions whose bodies call .Get / .Put on a sync.Pool
-// value.
+// or batch.SlicePool value.
 func poolAccessors(pass *Pass) (getters, putters map[types.Object]bool) {
 	getters = map[types.Object]bool{}
 	putters = map[types.Object]bool{}
@@ -340,7 +340,13 @@ func isSyncPool(t types.Type) bool {
 	if !ok {
 		return false
 	}
-	return named.Obj().Name() == "Pool" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync"
+	pkg := named.Obj().Pkg()
+	if pkg == nil {
+		return false
+	}
+	// sync.Pool itself, or the size-classed batch.SlicePool built on it.
+	return named.Obj().Name() == "Pool" && pkg.Path() == "sync" ||
+		named.Obj().Name() == "SlicePool" && pathTail(pkg.Path()) == "batch"
 }
 
 // checkPoolLeaks flags variables drawn from a pool getter that never
@@ -362,7 +368,11 @@ func checkPoolLeaks(pass *Pass, fn *ast.FuncDecl, getters, putters map[types.Obj
 			return true
 		}
 		for i := range as.Rhs {
-			call, ok := as.Rhs[i].(*ast.CallExpr)
+			rhs := as.Rhs[i]
+			if sl, ok := rhs.(*ast.SliceExpr); ok {
+				rhs = sl.X // x := getI32(n)[:0] still owns the buffer
+			}
+			call, ok := rhs.(*ast.CallExpr)
 			if !ok {
 				continue
 			}

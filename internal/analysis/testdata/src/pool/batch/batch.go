@@ -31,3 +31,12 @@ func (b *Batch) Release() {
 		b.Cols[i] = nil
 	}
 }
+
+// SlicePool stands in for the size-classed scratch pool.
+type SlicePool[T any] struct{ free [][]T }
+
+// Get pops a buffer of length n.
+func (p *SlicePool[T]) Get(n int) []T { return make([]T, n) }
+
+// Put returns a buffer.
+func (p *SlicePool[T]) Put(s []T) { p.free = append(p.free, s) }

@@ -107,3 +107,27 @@ func Annotated(n int) {
 	buf := getF(n)
 	_ = buf
 }
+
+var poolI32 batch.SlicePool[int32]
+
+// getI32 draws from the size-classed pool: a getter like getF.
+func getI32(n int) []int32 { return poolI32.Get(n) }
+
+func putI32(s []int32) { poolI32.Put(s) }
+
+// ClassedBalanced returns its size-classed scratch.
+func ClassedBalanced(n int) int {
+	sel := getI32(n)[:0]
+	sel = append(sel, 1)
+	putI32(sel)
+	return n
+}
+
+// ClassedLeak drops a size-classed buffer.
+func ClassedLeak(n int) int {
+	sel := getI32(n)[:0] // want `pooled buffer sel from getI32 never reaches`
+	for i := 0; i < cap(sel); i++ {
+		n += i
+	}
+	return n
+}

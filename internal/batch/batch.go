@@ -77,7 +77,7 @@ func Alloc(schema *relation.Schema, lsch *lineage.Schema, rows int) *Batch {
 	}
 	lin := make([][]lineage.TupleID, lsch.Len())
 	for s := range lin {
-		lin[s] = getID(rows)
+		lin[s] = poolID.Get(rows)
 	}
 	return &Batch{Schema: schema, LSch: lsch, Cols: cols, Lin: lin, rows: rows, owned: true}
 }

@@ -108,7 +108,7 @@ func AllocLike(b *Batch, rows int) *Batch {
 	}
 	lin := make([][]lineage.TupleID, len(b.Lin))
 	for s := range lin {
-		lin[s] = getID(rows)
+		lin[s] = poolID.Get(rows)
 	}
 	return &Batch{Schema: b.Schema, LSch: b.LSch, Cols: cols, Lin: lin, rows: rows, owned: true}
 }
@@ -129,7 +129,26 @@ func AllocMerged(a, b *Batch, rows int) *Batch {
 	}
 	lin := make([][]lineage.TupleID, len(a.Lin))
 	for s := range lin {
-		lin[s] = getID(rows)
+		lin[s] = poolID.Get(rows)
 	}
 	return &Batch{Schema: a.Schema, LSch: a.LSch, Cols: cols, Lin: lin, rows: rows, owned: true}
+}
+
+// AllocJoined allocates an owned join-output batch with the given
+// (concatenated) schemas whose columns mirror l's then r's — including
+// their dictionary sidecars, so encoded join keys stay encoded through
+// the join.
+func AllocJoined(l, r *Batch, cols *relation.Schema, lsch *lineage.Schema, rows int) *Batch {
+	vecs := make([]expr.Vec, 0, len(l.Cols)+len(r.Cols))
+	for _, c := range l.Cols {
+		vecs = append(vecs, AllocVecLike(c, rows))
+	}
+	for _, c := range r.Cols {
+		vecs = append(vecs, AllocVecLike(c, rows))
+	}
+	lin := make([][]lineage.TupleID, lsch.Len())
+	for s := range lin {
+		lin[s] = poolID.Get(rows)
+	}
+	return &Batch{Schema: cols, LSch: lsch, Cols: vecs, Lin: lin, rows: rows, owned: true}
 }

@@ -1,10 +1,10 @@
-// Buffer recycling for owned batches. The fused kernel's gather outputs —
-// one batch per query on the one-shot path — are the engine's dominant
-// steady-state allocation: a few dense numeric columns plus lineage IDs,
-// identically shaped from query to query. Routing those buffers through
-// sync.Pools turns that per-query churn into reuse, which matters because
-// at synopsis-served latencies garbage collection is a measurable share of
-// end-to-end query time.
+// Buffer recycling for owned batches and engine scratch. The fused
+// kernel's gather outputs — one batch per query on the one-shot path — are
+// the engine's dominant steady-state allocation: a few dense numeric
+// columns plus lineage IDs, identically shaped from query to query.
+// Routing those buffers through a pool turns that per-query churn into
+// reuse, which matters because at synopsis-served latencies garbage
+// collection is a measurable share of end-to-end query time.
 //
 // Only numeric ([]int64, []float64) and lineage ([]TupleID) buffers pool;
 // string columns (and their dictionary-code sidecars) always allocate
@@ -17,6 +17,7 @@
 package batch
 
 import (
+	"math/bits"
 	"sync"
 
 	"github.com/sampling-algebra/gus/internal/expr"
@@ -24,40 +25,76 @@ import (
 	"github.com/sampling-algebra/gus/internal/relation"
 )
 
-var (
-	poolF  sync.Pool // *[]float64
-	poolI  sync.Pool // *[]int64
-	poolID sync.Pool // *[]lineage.TupleID
+// SlicePool recycles []T scratch in power-of-two capacity classes: class c
+// holds buffers with 1<<c ≤ cap < 1<<(c+1). Get rounds the request up to
+// its class, so a pooled buffer always fits the request that pops it (a
+// hit never discards a buffer) and no request pins a buffer more than
+// twice its size. One unclassed sync.Pool does neither: a small request
+// pops — and, when too small, replaces — whatever buffer is on top, so
+// every pooled buffer ratchets up to the largest size ever requested and
+// the pool's footprint is bounded only by how often the GC clears it.
+//
+// Only span- and wave-sized buffers pool (maxPooledLen). A larger one is
+// per-query state — a sampled table's column, a join table — and stays
+// with the garbage collector: a pooled buffer is live heap, the collector
+// lets the heap grow to twice its live size, and sync.Pool's per-P caches
+// end up holding more than one copy, so recycling the few-MB buffers of a
+// 100k-row join costs more resident memory than it saves in allocation
+// (measured on the join_estimate benchmark workload: 82 MB resident with
+// the bound, 129 MB without, 94 MB before pooling was size-classed).
+//
+// The zero value is ready to use. Contents of a Get result are undefined.
+type SlicePool[T any] struct {
+	classes [maxPooledClass + 1]sync.Pool // *[]T
+}
+
+// maxPooledLen is the largest request served from (and returned to) the
+// pool: four default scan partitions' worth of rows, which covers per-span
+// selection and hash scratch and a progressive wave's batch columns.
+const (
+	maxPooledClass = 14
+	maxPooledLen   = 1 << maxPooledClass
 )
 
-func getF(n int) []float64 {
-	if p, ok := poolF.Get().(*[]float64); ok && cap(*p) >= n {
-		return (*p)[:n]
+// Get returns a slice of length n; when pooled, its capacity is n rounded
+// up to a power of two.
+func (p *SlicePool[T]) Get(n int) []T {
+	if n > maxPooledLen {
+		return make([]T, n)
 	}
-	return make([]float64, n)
+	c := 0
+	if n > 1 {
+		c = bits.Len(uint(n - 1))
+	}
+	if s, ok := p.classes[c].Get().(*[]T); ok {
+		return (*s)[:n]
+	}
+	return make([]T, n, 1<<uint(c))
 }
 
-func getI(n int) []int64 {
-	if p, ok := poolI.Get().(*[]int64); ok && cap(*p) >= n {
-		return (*p)[:n]
+// Put files s under ⌊log₂ cap⌋ for reuse; zero-capacity slices and those
+// past the pooled sizes are dropped.
+func (p *SlicePool[T]) Put(s []T) {
+	if cap(s) == 0 || cap(s) > maxPooledLen {
+		return
 	}
-	return make([]int64, n)
+	s = s[:0]
+	p.classes[bits.Len(uint(cap(s)))-1].Put(&s)
 }
 
-func getID(n int) []lineage.TupleID {
-	if p, ok := poolID.Get().(*[]lineage.TupleID); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]lineage.TupleID, n)
-}
+var (
+	poolF  SlicePool[float64]
+	poolI  SlicePool[int64]
+	poolID SlicePool[lineage.TupleID]
+)
 
 // allocVecPooled is AllocVec drawing numeric storage from the pools.
 func allocVecPooled(kind relation.Kind, n int) expr.Vec {
 	switch kind {
 	case relation.KindInt:
-		return expr.Vec{Kind: kind, I: getI(n)}
+		return expr.Vec{Kind: kind, I: poolI.Get(n)}
 	case relation.KindFloat:
-		return expr.Vec{Kind: kind, F: getF(n)}
+		return expr.Vec{Kind: kind, F: poolF.Get(n)}
 	default:
 		return expr.Vec{Kind: kind, S: make([]string, n)}
 	}
@@ -82,20 +119,15 @@ func (b *Batch) Release() {
 		c := &b.Cols[j]
 		switch {
 		case c.F != nil:
-			f := c.F
-			poolF.Put(&f)
+			poolF.Put(c.F)
 		case c.I != nil:
-			i := c.I
-			poolI.Put(&i)
+			poolI.Put(c.I)
 		}
 		*c = expr.Vec{Kind: c.Kind}
 	}
 	for s := range b.Lin {
-		if b.Lin[s] != nil {
-			l := b.Lin[s]
-			poolID.Put(&l)
-			b.Lin[s] = nil
-		}
+		poolID.Put(b.Lin[s])
+		b.Lin[s] = nil
 	}
 	b.rows = 0
 }

@@ -113,7 +113,13 @@ func (e *Engine) execB(n plan.Node, seed uint64, ids map[plan.Node]uint64) (*bat
 		if err != nil {
 			return nil, err
 		}
-		return e.execJoinB(l, r, t.LeftCol, t.RightCol, int(ids[n]))
+		out, err := e.execJoinB(l, r, t.LeftCol, t.RightCol, int(ids[n]))
+		// The inputs were executed for this join alone and the output
+		// holds copies, so their buffers go back to the pools now rather
+		// than to the garbage collector.
+		l.Release()
+		r.Release()
+		return out, err
 	case *plan.Theta:
 		l, r, err := e.bothB(t.Left, t.Right, seed, ids)
 		if err != nil {
@@ -612,7 +618,7 @@ func (e *Engine) pipeWindow(in *batch.Batch, smp *sampleStage, preds []*expr.Vec
 		// Selection vectors come from the engine's scratch pool, so
 		// steady-state execution — one-shot queries and progressive waves
 		// alike — reuses buffers instead of growing fresh ones per span.
-		sel := getI32(0)
+		sel := getI32(span.Hi - span.Lo)[:0]
 		rest := preds
 		switch {
 		case smp != nil:
@@ -916,7 +922,7 @@ func (e *Engine) execJoinB(l, r *batch.Batch, leftCol, rightCol string, node int
 		span := pspans[p]
 		ph := getU64(span.Hi - span.Lo)
 		batch.HashVecInto(probeVec, span.Lo, span.Hi, ph)
-		bs, ps := getI32(0), getI32(0)
+		bs, ps := getI32(span.Hi - span.Lo)[:0], getI32(span.Hi - span.Lo)[:0]
 		// One closure per partition: pi advances per row, so probing
 		// allocates nothing.
 		pi := 0
@@ -940,7 +946,7 @@ func (e *Engine) execJoinB(l, r *batch.Batch, leftCol, rightCol string, node int
 	for p := range bIdx {
 		offs[p+1] = offs[p] + len(bIdx[p])
 	}
-	out := allocConcat(l, r, cols, lsch, offs[len(pspans)])
+	out := batch.AllocJoined(l, r, cols, lsch, offs[len(pspans)])
 	err = e.forEach(len(pspans), probe.Len(), func(p int) error {
 		lSel, rSel := bIdx[p], pIdx[p]
 		if !buildLeft {
@@ -959,31 +965,6 @@ func (e *Engine) execJoinB(l, r *batch.Batch, leftCol, rightCol string, node int
 	e.trace.End(probeSp, int64(probe.Len()), int64(out.Len()))
 	e.trace.SetSpan(probeSp, func(s *obs.Span) { s.Partitions = len(pspans) })
 	return out, nil
-}
-
-// allocConcat allocates a join output batch whose columns mirror l's then
-// r's — including their dictionary sidecars, so encoded join keys stay
-// encoded through the join.
-func allocConcat(l, r *batch.Batch, cols *relation.Schema, lsch *lineage.Schema, rows int) *batch.Batch {
-	vecs := make([]expr.Vec, cols.Len())
-	for j, c := range l.Cols {
-		vecs[j] = batch.AllocVecLike(c, rows)
-	}
-	nl := len(l.Cols)
-	for j, c := range r.Cols {
-		vecs[nl+j] = batch.AllocVecLike(c, rows)
-	}
-	lin := make([][]lineage.TupleID, lsch.Len())
-	for s := range lin {
-		lin[s] = make([]lineage.TupleID, rows)
-	}
-	b, err := batch.New(cols, lsch, vecs, lin, rows)
-	if err != nil {
-		// Schemas were validated by the callers' Concat; lengths match by
-		// construction.
-		panic(err)
-	}
-	return b
 }
 
 // gatherConcat fills out[off:off+len(lSel)] with l-rows lSel concatenated
@@ -1065,7 +1046,7 @@ func (e *Engine) execThetaB(l, r *batch.Batch, pred expr.Expr) (*batch.Batch, er
 	for p := range lIdx {
 		offs[p+1] = offs[p] + len(lIdx[p])
 	}
-	out := allocConcat(l, r, cols, lsch, offs[len(spans)])
+	out := batch.AllocJoined(l, r, cols, lsch, offs[len(spans)])
 	err = e.forEach(len(spans), l.Len()*max(1, rn), func(p int) error {
 		gatherConcat(l, r, lIdx[p], rIdx[p], out, offs[p])
 		return nil
@@ -1104,7 +1085,7 @@ func execUnionB(l, r *batch.Batch) (*batch.Batch, error) {
 	// two phases below never interleave). Lineage equality is exact ID
 	// equality, so grouping by (hash, full compare) reproduces the
 	// string-key groups exactly.
-	reps := getI32(0)
+	reps := getI32(l.Len() + ra.Len())[:0]
 	defer func() { putI32(reps) }()
 	lGroups := int32(-1) // -1: phase 1 in progress, every group is l-side
 	var cand int
@@ -1123,7 +1104,7 @@ func execUnionB(l, r *batch.Batch) (*batch.Batch, error) {
 		}
 	}
 	lGroups = int32(g.Len())
-	extra := getI32(0)
+	extra := getI32(ra.Len())[:0]
 	defer func() { putI32(extra) }()
 	candLin = ra.Lin
 	for i := 0; i < ra.Len(); i++ {
@@ -1154,7 +1135,7 @@ func execIntersectB(l, r *batch.Batch) (*batch.Batch, error) {
 	}
 	g := getGrouper(ra.Len())
 	defer putGrouper(g)
-	reps := getI32(0)
+	reps := getI32(ra.Len())[:0]
 	defer func() { putI32(reps) }()
 	var cand int
 	candLin := ra.Lin
@@ -1165,7 +1146,7 @@ func execIntersectB(l, r *batch.Batch) (*batch.Batch, error) {
 			reps = append(reps, int32(i))
 		}
 	}
-	sel := getI32(0)
+	sel := getI32(l.Len())[:0]
 	defer func() { putI32(sel) }()
 	candLin = l.Lin
 	for i := 0; i < l.Len(); i++ {

@@ -19,7 +19,7 @@
 // regardless of the radix count or worker count — exactly the order the
 // merged partial maps used to produce, so join outputs are bit-identical.
 //
-// Scratch (hash arrays, slot arrays, match buffers) comes from sync.Pools,
+// Scratch (hash arrays, slot arrays, match buffers) comes from pools,
 // so steady-state joins — and wave-at-a-time execution generally — reuse
 // buffers instead of re-allocating them.
 package engine
@@ -28,42 +28,31 @@ import (
 	"math/bits"
 	"sync"
 
+	"github.com/sampling-algebra/gus/internal/batch"
 	"github.com/sampling-algebra/gus/internal/hashtab"
 	"github.com/sampling-algebra/gus/internal/lineage"
 	"github.com/sampling-algebra/gus/internal/ops"
 )
 
-// scratch pools for the engine's keyed operators and fused kernels.
+// scratch pools for the engine's keyed operators and fused kernels —
+// size-classed, so a request for a small buffer never pops (or ratchets
+// up) a large one.
 var (
-	poolI32 = sync.Pool{New: func() any { return new([]int32) }}
-	poolU64 = sync.Pool{New: func() any { return new([]uint64) }}
+	poolI32 batch.SlicePool[int32]
+	poolU64 batch.SlicePool[uint64]
 )
 
 // getI32 returns a pooled []int32 with length n (contents undefined).
-func getI32(n int) []int32 {
-	p := poolI32.Get().(*[]int32)
-	if cap(*p) < n {
-		*p = make([]int32, n)
-	}
-	return (*p)[:n]
-}
+// These wrappers are the getters and putters gusvet's poolcontract
+// analyzer tracks: whatever one hands out must reach the other.
+func getI32(n int) []int32 { return poolI32.Get(n) }
 
-func putI32(s []int32) {
-	poolI32.Put(&s)
-}
+func putI32(s []int32) { poolI32.Put(s) }
 
 // getU64 returns a pooled []uint64 with length n (contents undefined).
-func getU64(n int) []uint64 {
-	p := poolU64.Get().(*[]uint64)
-	if cap(*p) < n {
-		*p = make([]uint64, n)
-	}
-	return (*p)[:n]
-}
+func getU64(n int) []uint64 { return poolU64.Get(n) }
 
-func putU64(s []uint64) {
-	poolU64.Put(&s)
-}
+func putU64(s []uint64) { poolU64.Put(s) }
 
 // joinTable is the built multimap: probe with head(), walk with next().
 type joinTable struct {

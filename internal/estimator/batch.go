@@ -34,7 +34,7 @@ func EstimateBatch(g *core.Params, b *batch.Batch, f expr.Expr, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	res, err := fromSource(g, colLins(b.Lin), fs, opts)
+	res, err := fromSource(g, b.Lin, fs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ func RatioBatch(g *core.Params, b *batch.Batch, num, den expr.Expr, opts Options
 	if err != nil {
 		return nil, err
 	}
-	res, err := ratioSrc(g, colLins(b.Lin), nfs, dfs, opts)
+	res, err := ratioSrc(g, b.Lin, nfs, dfs, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ func BilinearMoments(n int, lins []lineage.Vector, fs, gs []float64) ([]float64,
 	if len(lins) != len(fs) || len(fs) != len(gs) {
 		return nil, fmt.Errorf("estimator: bilinear moments need equal-length inputs (%d,%d,%d)", len(lins), len(fs), len(gs))
 	}
-	return momentsSerial(n, vecLins(lins), fs, gs), nil
+	return groupMoments(n, vectorColumns(n, lins), fs, gs, Options{}, nil), nil
 }
 
 // Covariance estimates Cov(X_f, X_g) for the two SUM estimators computed
@@ -38,20 +38,20 @@ func Covariance(g *core.Params, lins []lineage.Vector, fs, gs []float64) (float6
 	if len(lins) != len(fs) {
 		return 0, fmt.Errorf("estimator: %d lineage vectors for %d aggregate values", len(lins), len(fs))
 	}
-	return covarianceSrc(g, vecLins(lins), fs, gs, Options{})
+	return covarianceSrc(g, vectorColumns(g.N(), lins), fs, gs, Options{})
 }
 
-// covarianceSrc is Covariance over any lineage storage, with accumulator
-// options (Workers enables the partition-sharded bilinear moments).
-func covarianceSrc(g *core.Params, src linSource, fs, gs []float64, opts Options) (float64, error) {
+// covarianceSrc is Covariance over per-slot lineage columns, with
+// accumulator options (Workers enables the partition-sharded bilinear
+// moments).
+func covarianceSrc(g *core.Params, lin [][]lineage.TupleID, fs, gs []float64, opts Options) (float64, error) {
 	if g.A() == 0 {
 		return 0, fmt.Errorf("estimator: null GUS (a=0) has no covariance")
 	}
-	y, err := bilinearFor(g.N(), src, fs, gs, opts)
-	if err != nil {
-		return 0, err
+	if len(fs) != len(gs) {
+		return 0, fmt.Errorf("estimator: bilinear moments need equal-length inputs (%d,%d)", len(fs), len(gs))
 	}
-	yhat, err := UnbiasedY(g, y)
+	yhat, err := UnbiasedY(g, groupMoments(g.N(), lin, fs, gs, opts, nil))
 	if err != nil {
 		return 0, err
 	}
@@ -97,27 +97,23 @@ func Ratio(g *core.Params, rows *ops.Rows, num, den expr.Expr, opts Options) (*R
 	if err != nil {
 		return nil, err
 	}
-	lins := make([]lineage.Vector, rows.Len())
-	for i, row := range rows.Data {
-		lins[i] = row.Lin
-	}
-	return ratioSrc(g, vecLins(lins), nfs, dfs, opts)
+	return ratioSrc(g, rowColumns(rows), nfs, dfs, opts)
 }
 
-// ratioSrc is the storage-agnostic core behind Ratio and RatioBatch.
-func ratioSrc(g *core.Params, src linSource, nfs, dfs []float64, opts Options) (*RatioResult, error) {
-	nRes, err := fromSource(g, src, nfs, opts)
+// ratioSrc is the core behind Ratio and RatioBatch.
+func ratioSrc(g *core.Params, lin [][]lineage.TupleID, nfs, dfs []float64, opts Options) (*RatioResult, error) {
+	nRes, err := fromSource(g, lin, nfs, opts)
 	if err != nil {
 		return nil, err
 	}
-	dRes, err := fromSource(g, src, dfs, opts)
+	dRes, err := fromSource(g, lin, dfs, opts)
 	if err != nil {
 		return nil, err
 	}
 	if dRes.Estimate == 0 {
 		return nil, fmt.Errorf("estimator: ratio with (estimated) zero denominator")
 	}
-	cov, err := covarianceSrc(g, src, nfs, dfs, opts)
+	cov, err := covarianceSrc(g, lin, nfs, dfs, opts)
 	if err != nil {
 		return nil, err
 	}

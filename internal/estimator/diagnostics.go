@@ -14,16 +14,13 @@
 // plus structural flags (delta-method ratio, §7 sub-sampling, clamped
 // negative variance) fold into a letter grade an operator can read.
 //
-// Diagnostics are computed in a SEPARATE read-only pass over the sample
-// after the estimate and variance are already final: they cannot perturb
-// results by construction, and a bit-identity test enforces it.
+// The group statistics (G, Σt², Σt⁴) come out of the moment kernel's own
+// pass over the full lineage mask (groupMoments, Accum.TopDiagnostics) in
+// accumulators the estimate never reads: they cannot perturb results by
+// construction, and a bit-identity test enforces it.
 package estimator
 
-import (
-	"math"
-
-	"github.com/sampling-algebra/gus/internal/lineage"
-)
+import "math"
 
 // Diagnostics reports the reliability of a Result's variance estimate
 // (and hence of the confidence interval derived from it).
@@ -109,38 +106,11 @@ var grades = []string{"A", "B", "C", "D"}
 
 // DiagnoseAccum grades a streaming accumulator's current variance
 // reliability — the per-wave counterpart of Options.Diagnostics. It reads
-// the accumulator's full-mask group totals (tail included) without
+// the accumulator's full-mask group statistics (tail included) without
 // mutating persistent state.
 func DiagnoseAccum(a *Accum, approximate, clamped bool) *Diagnostics {
 	g, s2, s4 := a.TopDiagnostics()
 	return newDiagnostics(g, s2, s4, approximate, false, clamped)
-}
-
-// diagnoseSource computes the full-mask group statistics (group count,
-// Σt², Σt⁴) over the variance sample in a separate read-only pass: group
-// rows by their full lineage projection and total f within each group.
-// Group order follows first appearance, so repeated calls are identical.
-func diagnoseSource(n int, src linSource, fs []float64) (groups int, sum2, sum4 float64) {
-	full := lineage.Full(n)
-	//gus:stringmap-ok diagnostics-only pass off the estimate path; keys are composite lineage projections
-	idx := make(map[string]int, len(fs))
-	totals := make([]float64, 0, len(fs))
-	for i := range fs {
-		k := src.projectKey(i, full)
-		j, ok := idx[k]
-		if !ok {
-			j = len(totals)
-			idx[k] = j
-			totals = append(totals, 0)
-		}
-		totals[j] += fs[i]
-	}
-	for _, t := range totals {
-		t2 := t * t
-		sum2 += t2
-		sum4 += t2 * t2
-	}
-	return len(totals), sum2, sum4
 }
 
 // mergeRatioDiag folds the component SUM diagnostics of a delta-method

@@ -112,11 +112,11 @@ func TestDiagnosticsBitIdentity(t *testing.T) {
 			}
 		}
 		// Ratio path too.
-		q1, err := ratioSrc(g, vecLins(lins), fs, gs, base)
+		q1, err := ratioSrc(g, cols, fs, gs, base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q2, err := ratioSrc(g, vecLins(lins), fs, gs, diag)
+		q2, err := ratioSrc(g, cols, fs, gs, diag)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,13 +137,7 @@ func TestAccumTopDiagnostics(t *testing.T) {
 	for i := range fs {
 		fs[i] = math.Trunc(fs[i]) // integer-valued: sums are exact
 	}
-	lins := make([]lineage.Vector, len(fs))
-	for i := range fs {
-		v := lineage.NewVector(2)
-		v[0], v[1] = cols[0][i], cols[1][i]
-		lins[i] = v
-	}
-	wantG, wantS2, wantS4 := diagnoseSource(2, vecLins(lins), fs)
+	wantG, wantS2, wantS4 := oracleStats(cols, fs)
 
 	a := NewAccum(2, false, 256)
 	ref := NewAccum(2, false, 256)

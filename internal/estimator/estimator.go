@@ -9,6 +9,56 @@
 //  2. estimating the data moments y_S from the sample (§6.3), optionally
 //     from a lineage-hash sub-sample of the sample (§7);
 //  3. the final estimate, variance and confidence intervals (§6.4).
+//
+// # Order-aware lineage grouping
+//
+// Task 2 is 2ⁿ GROUP BY queries: Y_S groups the sample by the lineage
+// projected onto S and sums the squared group totals. The engine has
+// usually done the grouping already, by the order it emits rows in. One
+// kernel (order.go) exploits that for every entry point — EstimateBatch,
+// RatioBatch, Estimate, Ratio, FromLineage one-shot; Accum.Add/Moments/
+// Finalize streaming. It makes one pass over each lineage slot's ID
+// column to see whether it is strictly increasing, non-decreasing or
+// neither, then takes each mask S the cheapest way its member slots allow:
+//
+//	(a) singletons — some member slot is strictly increasing, so no two
+//	    rows share a projected key: Y_S = Σ f² in row order. No table.
+//	(b) runs — every member slot is non-decreasing, so the projected key
+//	    is too and each group is a run of adjacent rows.
+//	(c) hashed — otherwise: the open-addressing grouper, as before.
+//
+// When each triggers: a fused scan → sample → select pipeline emits rows in
+// scan order, so a scanned relation's slot is strictly increasing —
+// Bernoulli, WOR (emitted in input order) and lineage-hash samples
+// included; SYSTEM sampling rewrites lineage to block IDs, which repeat
+// within a block and only ever grow: runs. A hash join emits probe rows in
+// probe order, each with its matches in build order, so the probe side's
+// slot keeps its order (strict when a probe row matches at most one build
+// row, else runs) and the build side's slot follows the join key: a
+// foreign-key parent probed by its key-ordered child comes out in runs.
+// Unions and intersections concatenate or reorder sources, a build side
+// ordered differently from the probe key is arbitrary, and a caller handing
+// FromLineage rows in any order it likes is just that: (c). GROUP BY
+// buckets are subsequences of the sample and inherit its order.
+//
+// The property is observed on the rows at hand, never asserted by a
+// caller: Options.DistinctLineage, the old plan-derived hint, is ignored.
+// An Accum observes it chunk by chunk; should a later chunk break a mask's
+// order, the mask is rebuilt once, in its new mode, from the sample rows
+// the Accum retains for as long as any mask is order-aware.
+//
+// Why the floats cannot differ: all three ways produce the same groups in
+// the same first-seen order, and the kernel replicates the hash path's
+// accumulation order exactly — a group's partial sum within one
+// PartitionSize span is its values added in row order from zero; its total
+// is its span partials added in span order (so a run that crosses a span
+// boundary associates as mergeHashShards would); the moment adds the
+// squared totals in first-seen order. In case (a) every partial is one
+// value and that whole sequence collapses to acc += f·f per row. The
+// variance diagnostics' (groups, Σt², Σt⁴) are further sums over the same
+// group totals and come out of the same pass. order_test.go holds the
+// three ways, and the string-keyed implementation they replaced, to
+// bit-equality on every shape that selects or switches between them.
 package estimator
 
 import (
@@ -72,20 +122,16 @@ type Options struct {
 	// time and the number of sample tuples fed in). Tracing never touches
 	// the estimate math — results are bit-identical either way.
 	Trace *obs.Trace
-	// DistinctLineage asserts every sample row's lineage projection is
-	// unique on each slot — true for any single-relation sample, where a
-	// base tuple ID appears at most once (unions/intersections can break
-	// this; joins have multiple slots and are unaffected by the hint).
-	// For single-slot samples the Y_{S} group moment then reduces to a
-	// direct Σ f_i² over singleton groups — the identical accumulation
-	// sequence in row order, so results are bit-identical — skipping the
-	// per-row hash grouping entirely. Ignored for multi-slot samples.
+	// DistinctLineage is accepted and ignored. It used to assert that no
+	// lineage ID repeats within a slot so single-slot moments could skip
+	// hash grouping; the moment kernel now observes that (and more) on the
+	// sample itself — see the package comment.
 	DistinctLineage bool
 	// Diagnostics, when true, additionally reports the reliability of
-	// the variance estimate itself (Result.Diag) from a separate
-	// read-only pass over the sample. Like tracing, it never perturbs
-	// the estimate — results are bit-identical either way — but it is
-	// gated because the extra pass costs allocations on the hot path.
+	// the variance estimate itself (Result.Diag), from group statistics
+	// the moment kernel gathers alongside the full-mask moment. Like
+	// tracing, it never perturbs the estimate — results are bit-identical
+	// either way.
 	Diagnostics bool
 }
 
@@ -162,11 +208,7 @@ func Estimate(g *core.Params, rows *ops.Rows, f expr.Expr, opts Options) (*Resul
 		return nil, fmt.Errorf("estimator: sample lineage schema %v does not match GUS schema %v",
 			rows.LSch.Names(), g.Schema().Names())
 	}
-	lins := make([]lineage.Vector, rows.Len())
-	for i, row := range rows.Data {
-		lins[i] = row.Lin
-	}
-	return FromLineage(g, lins, fs, opts)
+	return fromSource(g, rowColumns(rows), fs, opts)
 }
 
 // FromLineage is the core SBox entry point: it needs only the lineage and
@@ -181,45 +223,39 @@ func FromLineage(g *core.Params, lins []lineage.Vector, fs []float64, opts Optio
 			return nil, fmt.Errorf("estimator: lineage vector %d has %d slots, GUS schema has %d", i, len(l), n)
 		}
 	}
-	return fromSource(g, vecLins(lins), fs, opts)
+	return fromSource(g, vectorColumns(n, lins), fs, opts)
 }
 
-// linSource abstracts how sample lineage is stored — row-major
-// []lineage.Vector or the columnar batch layout — so the Theorem-1
-// accumulators run identically (same keys, same accumulation order, hence
-// bit-identical floats) over both.
-type linSource interface {
-	// projectKey returns row i's grouping key for the slots of s, equal to
-	// lineage.Vector.ProjectKey on the equivalent row-major vector.
-	projectKey(i int, s lineage.Set) string
-	// id returns row i's tuple ID in the given lineage slot.
-	id(i, slot int) lineage.TupleID
-}
-
-// vecLins adapts row-major lineage vectors.
-type vecLins []lineage.Vector
-
-func (v vecLins) projectKey(i int, s lineage.Set) string { return v[i].ProjectKey(s) }
-func (v vecLins) id(i, slot int) lineage.TupleID         { return v[i][slot] }
-
-// colLins adapts columnar per-slot lineage columns (batch.Batch.Lin).
-type colLins [][]lineage.TupleID
-
-func (c colLins) projectKey(i int, s lineage.Set) string {
-	buf := make([]byte, 0, 8*s.Len())
-	for slot := 0; slot < len(c); slot++ {
-		if s.Has(slot) {
-			buf = lineage.AppendID(buf, c[slot][i])
+// columnsOf transposes row-major lineage — vec(i) is sample tuple i's
+// vector — into the per-slot ID columns (the batch.Batch.Lin layout) the
+// moment kernel runs over, so row and columnar samples take the same code
+// path float for float.
+func columnsOf(n, rows int, vec func(i int) lineage.Vector) [][]lineage.TupleID {
+	cols := make([][]lineage.TupleID, n)
+	for s := range cols {
+		cols[s] = make([]lineage.TupleID, rows)
+	}
+	for i := 0; i < rows; i++ {
+		for s, id := range vec(i)[:n] {
+			cols[s][i] = id
 		}
 	}
-	return string(buf)
+	return cols
 }
 
-func (c colLins) id(i, slot int) lineage.TupleID { return c[slot][i] }
+// vectorColumns is columnsOf over a slice of lineage vectors.
+func vectorColumns(n int, lins []lineage.Vector) [][]lineage.TupleID {
+	return columnsOf(n, len(lins), func(i int) lineage.Vector { return lins[i] })
+}
 
-// fromSource is the storage-agnostic SBox core behind FromLineage and
-// EstimateBatch.
-func fromSource(g *core.Params, src linSource, fs []float64, opts Options) (*Result, error) {
+// rowColumns is columnsOf over executed row-major sample rows.
+func rowColumns(rows *ops.Rows) [][]lineage.TupleID {
+	return columnsOf(rows.LSch.Len(), rows.Len(), func(i int) lineage.Vector { return rows.Data[i].Lin })
+}
+
+// fromSource is the SBox core behind FromLineage and EstimateBatch, over
+// per-slot lineage columns.
+func fromSource(g *core.Params, lin [][]lineage.TupleID, fs []float64, opts Options) (*Result, error) {
 	if g.A() == 0 {
 		return nil, fmt.Errorf("estimator: null GUS (a=0) cannot be estimated")
 	}
@@ -230,14 +266,18 @@ func fromSource(g *core.Params, src linSource, fs []float64, opts Options) (*Res
 	}
 
 	// §7: optionally estimate the y_S moments from a sub-sample.
-	varG, varSrc, varFs, sub, err := maybeSubsample(g, src, fs, opts)
+	varG, varLin, varFs, sub, err := maybeSubsample(g, lin, fs, opts)
 	if err != nil {
 		return nil, err
 	}
 	res.Subsampled = sub
 	res.VarianceRows = len(varFs)
 
-	res.Y = momentsFor(varG.Schema().Len(), varSrc, varFs, opts)
+	var stats *groupStats
+	if opts.Diagnostics {
+		stats = new(groupStats)
+	}
+	res.Y = groupMoments(varG.Schema().Len(), varLin, varFs, nil, opts, stats)
 	res.YHat, err = UnbiasedY(varG, res.Y)
 	if err != nil {
 		return nil, err
@@ -252,9 +292,8 @@ func fromSource(g *core.Params, src linSource, fs []float64, opts Options) (*Res
 		res.Variance = 0
 		res.Clamped = true
 	}
-	if opts.Diagnostics {
-		groups, s2, s4 := diagnoseSource(varG.Schema().Len(), varSrc, varFs)
-		res.Diag = newDiagnostics(groups, s2, s4, false, sub, res.Clamped)
+	if stats != nil {
+		res.Diag = newDiagnostics(stats.groups, stats.sum2, stats.sum4, false, sub, res.Clamped)
 	}
 	return res, nil
 }
@@ -263,9 +302,9 @@ func fromSource(g *core.Params, src linSource, fs []float64, opts Options) (*Res
 // exceeds opts.MaxVarianceRows, returning the GUS that governs the rows
 // used for moment estimation (Prop. 8 compaction of g with the
 // sub-sampler's multi-dimensional Bernoulli).
-func maybeSubsample(g *core.Params, src linSource, fs []float64, opts Options) (*core.Params, linSource, []float64, bool, error) {
+func maybeSubsample(g *core.Params, lin [][]lineage.TupleID, fs []float64, opts Options) (*core.Params, [][]lineage.TupleID, []float64, bool, error) {
 	if opts.MaxVarianceRows <= 0 || len(fs) <= opts.MaxVarianceRows {
-		return g, src, fs, false, nil
+		return g, lin, fs, false, nil
 	}
 	n := g.N()
 	// Uniform per-dimension rate whose product is the target row fraction.
@@ -283,21 +322,19 @@ func maybeSubsample(g *core.Params, src linSource, fs []float64, opts Options) (
 	// The method's relation order is sorted; map slots of g's schema.
 	keep := func(i int) bool {
 		for slot := 0; slot < n; slot++ {
-			if !m.Keeps(g.Schema().Name(slot), src.id(i, slot)) {
+			if !m.Keeps(g.Schema().Name(slot), lin[slot][i]) {
 				return false
 			}
 		}
 		return true
 	}
-	var subLins []lineage.Vector
+	subLin := make([][]lineage.TupleID, n)
 	var subFs []float64
 	for i := range fs {
 		if keep(i) {
-			l := lineage.NewVector(n)
-			for slot := 0; slot < n; slot++ {
-				l[slot] = src.id(i, slot)
+			for slot := range subLin {
+				subLin[slot] = append(subLin[slot], lin[slot][i])
 			}
-			subLins = append(subLins, l)
 			subFs = append(subFs, fs[i])
 		}
 	}
@@ -313,7 +350,7 @@ func maybeSubsample(g *core.Params, src linSource, fs []float64, opts Options) (
 	if err != nil {
 		return nil, nil, nil, false, err
 	}
-	return gSub, vecLins(subLins), subFs, true, nil
+	return gSub, subLin, subFs, true, nil
 }
 
 // Moments computes the raw sample moments Y_S for every S ⊆ {1:n}:
@@ -322,7 +359,7 @@ func maybeSubsample(g *core.Params, src linSource, fs []float64, opts Options) (
 // Y_∅ degenerates to (Σf)². Group squares accumulate in first-seen order,
 // so repeated calls return bit-identical floats.
 func Moments(n int, lins []lineage.Vector, fs []float64) []float64 {
-	return momentsSerial(n, vecLins(lins), fs, nil)
+	return groupMoments(n, vectorColumns(n, lins), fs, nil, Options{}, nil)
 }
 
 // UnbiasedY turns raw sample moments Y_S into unbiased estimates Ŷ_S of
@@ -375,11 +412,7 @@ func PopulationMoments(rows *ops.Rows, f expr.Expr) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	lins := make([]lineage.Vector, rows.Len())
-	for i, row := range rows.Data {
-		lins[i] = row.Lin
-	}
-	return Moments(rows.LSch.Len(), lins, fs), nil
+	return groupMoments(rows.LSch.Len(), rowColumns(rows), fs, nil, Options{}, nil), nil
 }
 
 // ExactAnalysis computes the true aggregate value and the true estimator

@@ -8,9 +8,8 @@
 // Determinism: partition boundaries and merge order depend only on the
 // data and the partition size — never on the worker count — so every
 // positive Workers value produces bit-identical floats. Group totals are
-// additionally enumerated in first-seen order (by partition, then by row)
-// rather than by Go map iteration, removing the run-to-run jitter the
-// serial map-based paths have.
+// enumerated in first-seen order (by partition, then by row). Workers ≤ 0
+// is the same computation over one partition spanning the whole sample.
 package estimator
 
 import (
@@ -104,99 +103,37 @@ func totalOf(fs []float64, opts Options) float64 {
 	return t
 }
 
-// groupShard is one partition's private group-by-lineage accumulator:
-// sums keyed by projected lineage, with keys remembered in first-seen
-// order so the merge is deterministic. The key type is whatever compact
-// encoding is injective for the mask at hand (see keyedMoment) — only
-// group identity and first-seen order matter, both invariant under the
-// encoding, so every encoding yields bit-identical sums.
-type groupShard[K comparable] struct {
-	keys []K
-	fsum map[K]float64
-	gsum map[K]float64 // nil for plain (f·f) moments
-}
-
-// shardFor builds partition p's shard, keying row i by key(i). Maps are
-// pre-sized for the worst case (every row its own group — the norm for
-// single-relation samples, whose lineage is unique per row).
-func shardFor[K comparable](span ops.Span, key func(i int) K, fs, gs []float64) groupShard[K] {
-	sh := groupShard[K]{fsum: make(map[K]float64, span.Hi-span.Lo)}
-	if gs != nil {
-		sh.gsum = make(map[K]float64, span.Hi-span.Lo)
-	}
-	for i := span.Lo; i < span.Hi; i++ {
-		k := key(i)
-		if _, seen := sh.fsum[k]; !seen {
-			sh.keys = append(sh.keys, k)
+// spans resolves the accumulator partitions over n rows: fixed-size
+// morsels, or the whole sample as one span on the serial (Workers ≤ 0)
+// path.
+func (o Options) spans(n int) []ops.Span {
+	if o.Workers <= 0 {
+		if n == 0 {
+			return nil
 		}
-		sh.fsum[k] += fs[i]
-		if gs != nil {
-			sh.gsum[k] += gs[i]
-		}
+		return []ops.Span{{Lo: 0, Hi: n}}
 	}
-	return sh
-}
-
-// mergeShards combines per-partition shards in partition order and
-// returns Σ_groups (Σf)(Σg) — with bilinear false, Σ_groups (Σf)². Group
-// totals are accumulated and squared in first-seen order.
-func mergeShards[K comparable](shards []groupShard[K], bilinear bool) float64 {
-	var total int
-	for _, sh := range shards {
-		total += len(sh.keys)
-	}
-	slot := make(map[K]int, total)
-	fTot := make([]float64, 0, total)
-	var gTot []float64
-	if bilinear {
-		gTot = make([]float64, 0, total)
-	}
-	for _, sh := range shards {
-		for _, k := range sh.keys {
-			s, ok := slot[k]
-			if !ok {
-				s = len(fTot)
-				slot[k] = s
-				fTot = append(fTot, 0)
-				if bilinear {
-					gTot = append(gTot, 0)
-				}
-			}
-			fTot[s] += sh.fsum[k]
-			if bilinear {
-				gTot[s] += sh.gsum[k]
-			}
-		}
-	}
-	var acc float64
-	for s, f := range fTot {
-		if bilinear {
-			acc += f * gTot[s]
-		} else {
-			acc += f * f
-		}
-	}
-	return acc
+	return ops.Partitions(n, o.partitionSize())
 }
 
 // linMomentSeed decorrelates moment-group hashes from other key domains.
 const linMomentSeed = 0x94d049bb133111eb
 
-// rowHash returns the canonical hash of row i's lineage projected onto
+// projHashLin returns the canonical hash of row i's lineage projected onto
 // slots: per-slot ID hashes combined in ascending slot order. Group
-// identity is decided by rowEqual's full ID compare, never by the hash.
-func rowHash(src linSource, slots []int, i int) uint64 {
+// identity is decided by projEqualLin's full ID compare, never by the hash.
+func projHashLin(lin [][]lineage.TupleID, slots []int, i int) uint64 {
 	h := uint64(linMomentSeed)
 	for _, s := range slots {
-		h = hashtab.Combine(h, hashtab.Mix(uint64(src.id(i, s))))
+		h = hashtab.Combine(h, hashtab.Mix(uint64(lin[s][i])))
 	}
 	return h
 }
 
-// rowEqual reports whether rows i and j project identically onto slots.
-func rowEqual(src linSource, slots []int, i, j int) bool {
+// projEqualLin reports whether rows i and j project identically onto slots.
+func projEqualLin(lin [][]lineage.TupleID, slots []int, i, j int) bool {
 	for _, s := range slots {
-		if src.id(i, s) != src.id(j, s) {
+		if lin[s][i] != lin[s][j] {
 			return false
 		}
 	}
@@ -207,12 +144,10 @@ func rowEqual(src linSource, slots []int, i, j int) bool {
 // so per-mask, per-partition accumulation reuses buffers.
 var grouperPool = sync.Pool{New: func() any { return &hashtab.Grouper{} }}
 
-// hashShard is one partition's group accumulator for one mask: group
-// representatives (first row of each group, global index) in first-seen
-// order with the group's value sums. It replaces the map-keyed groupShard
-// on the sharded path — same groups, same first-seen order, same float
-// accumulation order, so the moments are bit-identical; the keys are just
-// never materialized.
+// hashShard is one partition's group accumulator for one mask on the
+// fallback path (modeFor: hashed): group representatives (first row of
+// each group, global index) in first-seen order with the group's value
+// sums. Keys are never materialized.
 type hashShard struct {
 	rows   []int32
 	hashes []uint64
@@ -221,15 +156,15 @@ type hashShard struct {
 }
 
 // hashShardFor builds partition span's shard for the mask's slot list.
-func hashShardFor(span ops.Span, src linSource, slots []int, fs, gs []float64) hashShard {
+func hashShardFor(span ops.Span, lin [][]lineage.TupleID, slots []int, fs, gs []float64) hashShard {
 	g := grouperPool.Get().(*hashtab.Grouper)
 	g.Reset(span.Hi - span.Lo)
 	sh := hashShard{}
 	cand := span.Lo
-	eq := func(id int32) bool { return rowEqual(src, slots, cand, int(sh.rows[id])) }
+	eq := func(id int32) bool { return projEqualLin(lin, slots, cand, int(sh.rows[id])) }
 	for i := span.Lo; i < span.Hi; i++ {
 		cand = i
-		h := rowHash(src, slots, i)
+		h := projHashLin(lin, slots, i)
 		id, fresh := g.Get(h, eq)
 		if fresh {
 			sh.rows = append(sh.rows, int32(i))
@@ -250,8 +185,8 @@ func hashShardFor(span ops.Span, src linSource, slots []int, fs, gs []float64) h
 
 // mergeHashShards combines per-partition shards in partition order and
 // returns Σ_groups (Σf)(Σg) — with bilinear false, Σ_groups (Σf)². Group
-// totals accumulate and combine in first-seen order, matching mergeShards.
-func mergeHashShards(shards []hashShard, src linSource, slots []int, bilinear bool) float64 {
+// totals accumulate and combine in first-seen order.
+func mergeHashShards(shards []hashShard, lin [][]lineage.TupleID, slots []int, bilinear bool) float64 {
 	var total int
 	for _, sh := range shards {
 		total += len(sh.rows)
@@ -265,7 +200,7 @@ func mergeHashShards(shards []hashShard, src linSource, slots []int, bilinear bo
 		gTot = make([]float64, 0, total)
 	}
 	var cand int
-	eq := func(id int32) bool { return rowEqual(src, slots, cand, int(reps[id])) }
+	eq := func(id int32) bool { return projEqualLin(lin, slots, cand, int(reps[id])) }
 	for _, sh := range shards {
 		for k, rep := range sh.rows {
 			cand = int(rep)
@@ -295,14 +230,20 @@ func mergeHashShards(shards []hashShard, src linSource, slots []int, bilinear bo
 	return acc
 }
 
-// momentsSharded computes the §6.3 Y_S moments with partition-sharded
-// accumulators. With gs non-nil it computes the bilinear cross moments
-// Y_S(f,g) instead (see BilinearMoments). Every mask groups on an
-// open-addressing table keyed by projected-lineage hashes with full ID
-// compare — no encoded key strings, no per-row map traffic — and the
-// groups, their first-seen order and every accumulation order match the
-// historical map-keyed implementation, so the floats are bit-identical.
-func momentsSharded(n int, src linSource, fs, gs []float64, opts Options) []float64 {
+// groupStats are the full-mask group statistics behind the variance
+// diagnostics: the group count and Σt², Σt⁴ over the per-group totals t
+// of f, each total summed in row order and the powers in first-seen order.
+type groupStats struct {
+	groups     int
+	sum2, sum4 float64
+}
+
+// groupMoments computes the §6.3 Y_S moments — with gs non-nil the
+// bilinear cross moments Y_S(f,g) (see BilinearMoments) — one mask at a
+// time through the order-aware kernel (order.go): it observes each lineage
+// slot's order once and lets that pick every mask's mode. With stats
+// non-nil it also fills the full-mask group statistics.
+func groupMoments(n int, lin [][]lineage.TupleID, fs, gs []float64, opts Options, stats *groupStats) []float64 {
 	out := make([]float64, 1<<uint(n))
 	totF := totalOf(fs, opts)
 	if gs != nil {
@@ -310,113 +251,61 @@ func momentsSharded(n int, src linSource, fs, gs []float64, opts Options) []floa
 	} else {
 		out[0] = totF * totF
 	}
-	if n == 1 && opts.DistinctLineage {
-		out[1] = distinctMoment(fs, gs)
-		return out
-	}
-	spans := ops.Partitions(len(fs), opts.partitionSize())
+	spans := opts.spans(len(fs))
+	track := newOrderTracker(n)
+	track.observe(lin)
 	for m := 1; m < len(out); m++ {
 		slots := lineage.Set(m).Members()
+		var top *groupStats
+		if m == len(out)-1 {
+			top = stats
+		}
+		out[m] = maskMoment(modeFor(slots, track.order), slots, spans, lin, fs, gs, opts.Workers, top)
+	}
+	return out
+}
+
+// maskMoment computes one mask's Σ_groups (Σf)(Σg) in the given mode:
+// summing singletons, folding adjacent runs span by span, or falling back
+// to partition-sharded hash grouping. Every mode the data supports yields
+// the same groups in the same first-seen order with the same span-wise
+// totals, so the floats do not depend on which one ran. stats, when
+// non-nil, receives the mask's group statistics — from the same pass
+// whenever the span-wise group totals are the row-order totals the
+// statistics are defined over.
+func maskMoment(mode maskMode, slots []int, spans []ops.Span, lin [][]lineage.TupleID, fs, gs []float64, workers int, stats *groupStats) float64 {
+	if mode == hashed {
 		shards := make([]hashShard, len(spans))
 		//gus:ctx-ok pure CPU shard over a materialized sample, below cancellation granularity
-		_ = ops.ForEachPart(opts.Workers, len(spans), func(p int) error {
-			shards[p] = hashShardFor(spans[p], src, slots, fs, gs)
+		_ = ops.ForEachPart(workers, len(spans), func(p int) error {
+			shards[p] = hashShardFor(spans[p], lin, slots, fs, gs)
 			return nil
 		})
-		out[m] = mergeHashShards(shards, src, slots, gs != nil)
-	}
-	return out
-}
-
-// distinctMoment is the single-slot Y_{1} under the DistinctLineage
-// hint: every group is a singleton, so the group-square sum is Σ f_i²
-// (Σ f_i·g_i bilinear) accumulated in row order — exactly the float
-// sequence the hash-grouped paths produce for singleton groups, so the
-// result is bit-identical to theirs.
-func distinctMoment(fs, gs []float64) float64 {
-	var acc float64
-	if gs != nil {
-		for i, f := range fs {
-			acc += f * gs[i]
+		if stats != nil {
+			var whole hashShard // one span over every row: row-order totals
+			if len(spans) == 1 {
+				whole = shards[0]
+			} else {
+				whole = hashShardFor(ops.Span{Lo: 0, Hi: len(fs)}, lin, slots, fs, nil)
+			}
+			stats.groups = len(whole.fsum)
+			stats.sum2, stats.sum4 = addPowers(0, 0, whole.fsum)
 		}
-		return acc
+		return mergeHashShards(shards, lin, slots, gs != nil)
 	}
-	for _, f := range fs {
-		acc += f * f
+	var ch chunk
+	om := ordMask{mode: mode, slots: slots, bilinear: gs != nil, top: stats != nil}
+	for _, sp := range spans {
+		om.fold(ch.view(lin, fs, gs, sp.Lo, sp.Hi))
 	}
-	return acc
-}
-
-// momentsSerial is the Workers≤0 path: a single pass per mask with group
-// totals accumulated and combined in first-seen order — deterministic,
-// unlike the historical map-iteration sum (which gave run-to-run float
-// jitter; no caller may rely on randomness, so fixing the order is safe).
-func momentsSerial(n int, src linSource, fs, gs []float64) []float64 {
-	out := make([]float64, 1<<uint(n))
-	var totF, totG float64
-	for i, v := range fs {
-		totF += v
-		if gs != nil {
-			totG += gs[i]
+	if stats != nil {
+		st := &om
+		if mode == runs && len(spans) > 1 {
+			// A run crossing a span boundary is totalled span-wise above.
+			st = &ordMask{mode: runs, slots: slots, top: true}
+			st.fold(ch.view(lin, fs, nil, 0, len(fs)))
 		}
+		stats.groups, stats.sum2, stats.sum4 = st.stats(nil)
 	}
-	if gs != nil {
-		out[0] = totF * totG
-	} else {
-		out[0] = totF * totF
-	}
-	span := ops.Span{Lo: 0, Hi: len(fs)}
-	for m := 1; m < len(out); m++ {
-		set := lineage.Set(m)
-		sh := shardFor(span, func(i int) string { return src.projectKey(i, set) }, fs, gs)
-		out[m] = mergeShards([]groupShard[string]{sh}, gs != nil)
-	}
-	return out
-}
-
-// momentsFor dispatches between the serial and sharded accumulators.
-func momentsFor(n int, src linSource, fs []float64, opts Options) []float64 {
-	if opts.Workers <= 0 {
-		if n == 1 && opts.DistinctLineage {
-			return distinctSerial(fs, nil)
-		}
-		return momentsSerial(n, src, fs, nil)
-	}
-	return momentsSharded(n, src, fs, nil, opts)
-}
-
-// distinctSerial is momentsSerial's n == 1 shape under the
-// DistinctLineage hint: the serial row-order totals for Y_∅ and the
-// singleton-group square sum for Y_{1}.
-func distinctSerial(fs, gs []float64) []float64 {
-	out := make([]float64, 2)
-	var totF, totG float64
-	for i, v := range fs {
-		totF += v
-		if gs != nil {
-			totG += gs[i]
-		}
-	}
-	if gs != nil {
-		out[0] = totF * totG
-	} else {
-		out[0] = totF * totF
-	}
-	out[1] = distinctMoment(fs, gs)
-	return out
-}
-
-// bilinearFor dispatches between the serial and sharded bilinear
-// accumulators.
-func bilinearFor(n int, src linSource, fs, gs []float64, opts Options) ([]float64, error) {
-	if len(fs) != len(gs) {
-		return nil, fmt.Errorf("estimator: bilinear moments need equal-length inputs (%d,%d)", len(fs), len(gs))
-	}
-	if opts.Workers <= 0 {
-		if n == 1 && opts.DistinctLineage {
-			return distinctSerial(fs, gs), nil
-		}
-		return momentsSerial(n, src, fs, gs), nil
-	}
-	return momentsSharded(n, src, fs, gs, opts), nil
+	return om.exact()
 }

@@ -1,22 +1,30 @@
 // Incremental Theorem-1 accumulation for online aggregation. An Accum
 // folds ordered sample chunks — one per partition wave — into persistent
-// moment state: per-mask group-by-lineage maps whose group totals, slot
-// order and span-wise accumulation order replicate the partition-sharded
-// batch path (parallel.go) float for float. Two read modes:
+// moment state: per-mask group totals whose first-seen order and span-wise
+// accumulation order replicate the partition-sharded batch path
+// (parallel.go) float for float. Two read modes:
 //
 //   - Moments() — a live snapshot including the not-yet-complete tail
 //     span, with the Σ_groups(Σf)² sums maintained INCREMENTALLY (each
 //     fold adjusts a running sum by the changed groups only), so a wave
 //     costs O(Δ + groups touched), not O(rows so far);
-//   - Finalize() — folds the tail and recomputes every moment in slot
-//     order, exactly the order mergeShards uses, so an Accum fed the full
-//     sample in any chunking yields BIT-IDENTICAL moments (and hence
+//   - Finalize() — folds the tail and returns every moment summed in group
+//     order, exactly the order mergeHashShards uses, so an Accum fed the
+//     full sample in any chunking yields BIT-IDENTICAL moments (and hence
 //     estimate and variance) to one-shot Estimate/EstimateBatch with the
 //     same partition size.
 //
 // The incremental running sums trade last-bit float agreement for O(Δ)
 // updates — fine for intermediate confidence intervals, which is why
-// Finalize recomputes rather than trusting them.
+// Finalize does not trust them.
+//
+// Each mask groups through the order-aware kernel (order.go): while the
+// rows added so far keep a mask's groups singletons or adjacent runs it
+// holds a handful of running sums and no table; the lineage order is
+// observed on every Add and only ever degrades. When a chunk breaks a
+// mask's order, the mask is rebuilt once in its new mode from the spans the
+// accumulator retains for exactly that purpose, and continues — the floats
+// are those of the hash path throughout.
 package estimator
 
 import (
@@ -40,10 +48,14 @@ type Accum struct {
 	rows     int
 	final    bool
 
-	// tail holds rows of the not-yet-complete span.
-	tailFs  []float64
-	tailGs  []float64
-	tailLin [][]lineage.TupleID
+	// spans holds sample rows one partitionSize span per element, copied
+	// in as they arrive. The last element is the not-yet-complete tail
+	// span; every one before it is complete and folded into the masks, and
+	// is kept only while some mask is order-aware — the source that mask
+	// is rebuilt from should a later chunk break its order.
+	spans   []chunk
+	ordered int // masks not in hashed mode
+	track   orderTracker
 
 	// totF/totG accumulate completed-span partial sums in span order —
 	// the running counterpart of totalOf.
@@ -64,12 +76,15 @@ func NewAccum(n int, bilinear bool, partitionSize int) *Accum {
 		n:        n,
 		partSize: partitionSize,
 		bilinear: bilinear,
-		tailLin:  make([][]lineage.TupleID, n),
+		spans:    make([]chunk, 1),
+		track:    newOrderTracker(n),
 		masks:    make([]*maskAccum, 1<<uint(n)),
 	}
 	for m := 1; m < len(a.masks); m++ {
-		a.masks[m] = newMaskAccum(lineage.Set(m), bilinear)
+		a.masks[m] = &maskAccum{}
+		a.masks[m].reset(singletons, lineage.Set(m).Members(), bilinear, m == len(a.masks)-1)
 	}
+	a.ordered = len(a.masks) - 1
 	return a
 }
 
@@ -97,39 +112,78 @@ func (a *Accum) Add(fs, gs []float64, lin [][]lineage.TupleID) error {
 			return fmt.Errorf("estimator: lineage slot %d has %d rows, want %d", s, len(l), len(fs))
 		}
 	}
-	a.tailFs = append(a.tailFs, fs...)
-	if gs != nil {
-		a.tailGs = append(a.tailGs, gs...)
-	}
-	for s := range lin {
-		a.tailLin[s] = append(a.tailLin[s], lin[s]...)
+	// Settle every mask's mode for the new rows before any of them folds.
+	a.track.observe(lin)
+	a.remode()
+	for off := 0; off < len(fs); {
+		tail := a.tail()
+		hi := off + a.partSize - tail.len()
+		if hi > len(fs) {
+			hi = len(fs)
+		}
+		if tail.lin == nil {
+			a.allocSpan(tail)
+		}
+		tail.fs = append(tail.fs, fs[off:hi]...)
+		if gs != nil {
+			tail.gs = append(tail.gs, gs[off:hi]...)
+		}
+		for s := range lin {
+			tail.lin[s] = append(tail.lin[s], lin[s][off:hi]...)
+		}
+		off = hi
+		if tail.len() == a.partSize {
+			a.foldTail()
+		}
 	}
 	a.rows += len(fs)
-	a.drain()
 	return nil
 }
 
-// drain folds every complete span sitting in the tail, advancing a
-// cursor and compacting the buffers ONCE at the end — O(total) per call,
-// however many spans a large chunk completes.
-func (a *Accum) drain() {
-	off := 0
-	for len(a.tailFs)-off >= a.partSize {
-		a.foldAt(off, a.partSize)
-		off += a.partSize
+// allocSpan gives a fresh span room for partSize rows, so filling it
+// never regrows (regrowing one ever-longer buffer instead was a third of a
+// progressive query's CPU).
+func (a *Accum) allocSpan(ch *chunk) {
+	ch.fs = make([]float64, 0, a.partSize)
+	if a.bilinear {
+		ch.gs = make([]float64, 0, a.partSize)
 	}
-	a.discard(off)
+	ch.lin = make([][]lineage.TupleID, a.n)
+	for s := range ch.lin {
+		ch.lin[s] = make([]lineage.TupleID, 0, a.partSize)
+	}
 }
 
-// foldAt permanently folds tail rows [off, off+size) as one span.
-func (a *Accum) foldAt(off, size int) {
-	ch := chunk{fs: a.tailFs[off : off+size], lin: make([][]lineage.TupleID, a.n)}
-	if a.bilinear {
-		ch.gs = a.tailGs[off : off+size]
+// tail is the not-yet-complete span.
+func (a *Accum) tail() *chunk { return &a.spans[len(a.spans)-1] }
+
+// remode moves every mask whose order the latest chunk broke to the mode
+// the rows added so far still support, replaying the folded spans into it.
+func (a *Accum) remode() {
+	for m := 1; m < len(a.masks); m++ {
+		ms := a.masks[m]
+		mode := modeFor(ms.slots, a.track.order)
+		if mode <= ms.mode {
+			continue
+		}
+		if mode == hashed {
+			a.ordered--
+		}
+		ms.reset(mode, ms.slots, a.bilinear, ms.top)
+		for i := range a.spans[:len(a.spans)-1] {
+			ms.fold(&a.spans[i])
+		}
 	}
-	for s := range ch.lin {
-		ch.lin[s] = a.tailLin[s][off : off+size]
+	if a.ordered == 0 {
+		// Hashed masks keep their own group keys and never change mode
+		// again: the folded spans have no reader left.
+		a.spans = a.spans[len(a.spans)-1:]
 	}
+}
+
+// foldTail permanently folds the tail as one span and starts the next.
+func (a *Accum) foldTail() {
+	ch := a.tail()
 	var sf float64
 	for _, v := range ch.fs {
 		sf += v
@@ -143,42 +197,31 @@ func (a *Accum) foldAt(off, size int) {
 		a.totG += sg
 	}
 	for m := 1; m < len(a.masks); m++ {
-		a.masks[m].fold(&ch)
+		a.masks[m].fold(ch)
 	}
-}
-
-// discard drops the first off folded tail rows, moving the remainder to
-// the front of the (reused) buffers.
-func (a *Accum) discard(off int) {
-	if off == 0 {
+	if a.ordered > 0 {
+		a.spans = append(a.spans, chunk{})
 		return
 	}
-	a.tailFs = append(a.tailFs[:0], a.tailFs[off:]...)
-	if a.bilinear {
-		a.tailGs = append(a.tailGs[:0], a.tailGs[off:]...)
-	}
-	for s := range a.tailLin {
-		a.tailLin[s] = append(a.tailLin[s][:0], a.tailLin[s][off:]...)
+	ch.fs, ch.gs = ch.fs[:0], ch.gs[:0]
+	for s := range ch.lin {
+		ch.lin[s] = ch.lin[s][:0]
 	}
 }
 
-// tailChunk views the current tail as a chunk (nil when empty).
+// tailChunk is the tail span as a chunk (nil when empty).
 func (a *Accum) tailChunk() *chunk {
-	if len(a.tailFs) == 0 {
+	if a.tail().len() == 0 {
 		return nil
 	}
-	ch := &chunk{fs: a.tailFs, lin: a.tailLin}
-	if a.bilinear {
-		ch.gs = a.tailGs
-	}
-	return ch
+	return a.tail()
 }
 
 // Total returns the live Σf including the tail.
-func (a *Accum) Total() float64 { return a.totF + tailSum(a.tailFs) }
+func (a *Accum) Total() float64 { return a.totF + tailSum(a.tail().fs) }
 
 // TotalG returns the live Σg (bilinear mode).
-func (a *Accum) TotalG() float64 { return a.totG + tailSum(a.tailGs) }
+func (a *Accum) TotalG() float64 { return a.totG + tailSum(a.tail().gs) }
 
 func tailSum(vs []float64) float64 {
 	var s float64
@@ -207,55 +250,25 @@ func (a *Accum) Moments() []float64 {
 }
 
 // TopDiagnostics returns the full-mask group statistics (group count,
-// Σt², Σt⁴) over everything added so far, including the unfolded tail —
-// the streaming counterpart of diagnoseSource. Persistent group state is
-// untouched (only the reusable shard scratch is written), so calling it
-// never changes subsequent Moments/Finalize floats.
+// Σt², Σt⁴) over everything added so far, including the unfolded tail:
+// each group's total is its span-wise sum, the powers add in first-seen
+// order. Persistent group state is untouched, so calling it never changes
+// subsequent Moments/Finalize floats. While the full mask is order-aware
+// this costs O(tail) — the sums over completed groups are kept running.
 func (a *Accum) TopDiagnostics() (groups int, sum2, sum4 float64) {
-	ms := a.masks[len(a.masks)-1]
-	ch := a.tailChunk()
-	var delta map[int32]float64
-	var fresh []float64
-	if ch != nil {
-		ng := ms.buildShard(ch)
-		rep := 0
-		eq := func(id int32) bool { return ms.keyEqualRow(id, ch.lin, rep) }
-		delta = make(map[int32]float64, ng)
-		for j := 0; j < ng; j++ {
-			rep = int(ms.shardRows[j])
-			if s := ms.g.Find(ms.shardHash[j], eq); s >= 0 {
-				delta[s] += ms.shardF[j]
-			} else {
-				fresh = append(fresh, ms.shardF[j])
-			}
-		}
-	}
-	for s, f := range ms.fTot {
-		t := f + delta[int32(s)]
-		t2 := t * t
-		sum2 += t2
-		sum4 += t2 * t2
-	}
-	for _, t := range fresh {
-		t2 := t * t
-		sum2 += t2
-		sum4 += t2 * t2
-	}
-	return len(ms.fTot) + len(fresh), sum2, sum4
+	return a.masks[len(a.masks)-1].stats(a.tailChunk())
 }
 
-// Finalize folds the remaining tail and returns the exact moments,
-// recomputed in slot order: bit-identical to momentsSharded (or
-// BilinearMoments with Workers > 0) over the whole sample. The
-// accumulator is sealed afterwards.
+// Finalize folds the remaining tail and returns the exact moments, summed
+// in group order: bit-identical to groupMoments with Workers > 0 over the
+// whole sample. The accumulator is sealed afterwards.
 func (a *Accum) Finalize() []float64 {
 	if !a.final {
-		a.drain()
-		if len(a.tailFs) > 0 {
-			a.foldAt(0, len(a.tailFs))
-			a.discard(len(a.tailFs))
+		if a.tail().len() > 0 {
+			a.foldTail()
 		}
 		a.final = true
+		a.spans = make([]chunk, 1) // no Add can follow, so no mask can need a rebuild
 	}
 	out := make([]float64, 1<<uint(a.n))
 	if a.bilinear {
@@ -269,30 +282,22 @@ func (a *Accum) Finalize() []float64 {
 	return out
 }
 
-// chunk is one span's worth of rows in columnar form.
-type chunk struct {
-	fs, gs []float64
-	lin    [][]lineage.TupleID
-}
-
-func (c *chunk) len() int { return len(c.fs) }
-
-// maskAccum is one mask's persistent group state: an open-addressing
-// grouper over projected-lineage hashes (full ID compare on collisions —
-// never a materialized key string), the group key material in a flat
-// slot-ordered ID array, the persistent group totals, and the running
-// Σ_groups (Σf)(Σg) adjusted group-by-group on each fold. Span-local shard
-// scratch is owned by the accumulator and REUSED across folds, so a wave
-// costs O(Δ + groups touched) with no per-wave table allocation.
+// maskAccum is one mask's persistent group state. In singletons and runs
+// mode that is the embedded ordMask's running sums. In hashed mode it is
+// an open-addressing grouper over projected-lineage hashes (full ID
+// compare on collisions — never a materialized key string), the group key
+// material in a flat slot-ordered ID array, the persistent group totals,
+// and the running Σ_groups (Σf)(Σg) adjusted group-by-group on each fold.
+// Span-local shard scratch is owned by the accumulator and REUSED across
+// folds, so a wave costs O(Δ + groups touched) with no per-wave table
+// allocation.
 type maskAccum struct {
-	slots    []int
-	bilinear bool
+	ordMask
 
 	g      hashtab.Grouper
 	keyIDs []lineage.TupleID // k IDs per group, first-seen order
 	fTot   []float64
 	gTot   []float64
-	run    float64
 
 	// Span-local shard, rebuilt in place per fold/live.
 	shardG    hashtab.Grouper
@@ -300,33 +305,18 @@ type maskAccum struct {
 	shardHash []uint64
 	shardF    []float64
 	shardGv   []float64
+	// delta[s] is the tail's contribution to group s during stats; all
+	// zero between calls.
+	delta []float64
 }
 
-func newMaskAccum(set lineage.Set, bilinear bool) *maskAccum {
-	ms := &maskAccum{slots: set.Members(), bilinear: bilinear}
-	ms.g.Reset(0)
-	ms.shardG.Reset(0)
-	return ms
-}
-
-// projHashLin and projEqualLin are rowHash/rowEqual over bare lineage
-// columns (the chunk layout): same combine order, same full-compare
-// fallback.
-func projHashLin(lin [][]lineage.TupleID, slots []int, i int) uint64 {
-	h := uint64(linMomentSeed)
-	for _, s := range slots {
-		h = hashtab.Combine(h, hashtab.Mix(uint64(lin[s][i])))
+// reset empties the mask for (re)accumulation in the given mode.
+func (ms *maskAccum) reset(mode maskMode, slots []int, bilinear, top bool) {
+	*ms = maskAccum{ordMask: ordMask{mode: mode, slots: slots, bilinear: bilinear, top: top}}
+	if mode == hashed {
+		ms.g.Reset(0)
+		ms.shardG.Reset(0)
 	}
-	return h
-}
-
-func projEqualLin(lin [][]lineage.TupleID, slots []int, i, j int) bool {
-	for _, s := range slots {
-		if lin[s][i] != lin[s][j] {
-			return false
-		}
-	}
-	return true
 }
 
 // keyEqualRow compares stored group id's key IDs against chunk row i.
@@ -343,7 +333,7 @@ func (ms *maskAccum) keyEqualRow(id int32, lin [][]lineage.TupleID, i int) bool 
 
 // buildShard groups ch's rows span-locally into the reused shard scratch,
 // returning the group count — the same groups, first-seen order and value
-// sums as the historical map-based shardFor, without its allocations.
+// sums as hashShardFor, without its allocations.
 func (ms *maskAccum) buildShard(ch *chunk) int {
 	ms.shardG.Reset(ch.len())
 	ms.shardRows = ms.shardRows[:0]
@@ -375,6 +365,10 @@ func (ms *maskAccum) buildShard(ch *chunk) int {
 }
 
 func (ms *maskAccum) fold(ch *chunk) {
+	if ms.mode != hashed {
+		ms.ordMask.fold(ch)
+		return
+	}
 	ng := ms.buildShard(ch)
 	rep := 0
 	eq := func(id int32) bool { return ms.keyEqualRow(id, ch.lin, rep) }
@@ -407,6 +401,9 @@ func (ms *maskAccum) fold(ch *chunk) {
 // live returns the moment including the (unfolded) tail chunk, without
 // mutating persistent group state (the shard scratch is fair game).
 func (ms *maskAccum) live(ch *chunk) float64 {
+	if ms.mode != hashed {
+		return ms.ordMask.live(ch)
+	}
 	acc := ms.run
 	if ch == nil {
 		return acc
@@ -437,6 +434,9 @@ func (ms *maskAccum) live(ch *chunk) float64 {
 // exact recomputes the moment from the group totals in slot (first-seen)
 // order — the exact float sequence of mergeHashShards' final loop.
 func (ms *maskAccum) exact() float64 {
+	if ms.mode != hashed {
+		return ms.ordMask.exact()
+	}
 	var acc float64
 	for s, f := range ms.fTot {
 		if ms.bilinear {
@@ -446,6 +446,42 @@ func (ms *maskAccum) exact() float64 {
 		}
 	}
 	return acc
+}
+
+// stats is ordMask.stats for any mode. A hashed mask has to walk every
+// group — the tail may add to any of them — in first-seen order, then the
+// tail's new groups.
+func (ms *maskAccum) stats(ch *chunk) (groups int, sum2, sum4 float64) {
+	if ms.mode != hashed {
+		return ms.ordMask.stats(ch)
+	}
+	for len(ms.delta) < len(ms.fTot) {
+		ms.delta = append(ms.delta, 0)
+	}
+	var touched []int32
+	var fresh []float64
+	if ch != nil {
+		ng := ms.buildShard(ch)
+		rep := 0
+		eq := func(id int32) bool { return ms.keyEqualRow(id, ch.lin, rep) }
+		for j := 0; j < ng; j++ {
+			rep = int(ms.shardRows[j])
+			if s := ms.g.Find(ms.shardHash[j], eq); s >= 0 {
+				ms.delta[s] += ms.shardF[j]
+				touched = append(touched, s)
+			} else {
+				fresh = append(fresh, ms.shardF[j])
+			}
+		}
+	}
+	for s, f := range ms.fTot {
+		sum2, sum4 = addPower(sum2, sum4, f+ms.delta[s])
+	}
+	for _, s := range touched {
+		ms.delta[s] = 0
+	}
+	sum2, sum4 = addPowers(sum2, sum4, fresh)
+	return len(ms.fTot) + len(fresh), sum2, sum4
 }
 
 // EstimateFromMoments assembles a Result from an accumulator snapshot

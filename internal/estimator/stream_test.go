@@ -184,11 +184,11 @@ func relDiff(a, b float64) float64 {
 // finalize bit-identically to the one-shot delta-method Ratio machinery.
 func TestAccumBilinearRatioBitIdentical(t *testing.T) {
 	const n = 8000
-	lins, cols, nfs, dfs := streamSample(n, 2, 77)
+	_, cols, nfs, dfs := streamSample(n, 2, 77)
 	g := streamGUS(t, 2)
 	opts := Options{Workers: 2, PartitionSize: 512}
 
-	want, err := ratioSrc(g, vecLins(lins), nfs, dfs, opts)
+	want, err := ratioSrc(g, cols, nfs, dfs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,9 @@ type Trace struct {
 	// key.
 	SQL   string `json:"sql,omitempty"`
 	Shape string `json:"shape,omitempty"`
-	// Spans are the recorded stages in Begin order.
+	// Spans are the recorded stages in Begin order (engine stages in
+	// serial execution order once the query has finished, see
+	// OrderNodeSpans).
 	Spans []Span `json:"spans"`
 	// Waves is the progressive per-wave series (empty for one-shot
 	// queries).
@@ -193,6 +195,33 @@ func (t *Trace) SetPlanTree(s string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.PlanTree = s
+}
+
+// OrderNodeSpans rearranges the spans tied to plan nodes into the order a
+// serial execution records them in — rank[node] ascending, Begin order
+// within a node — leaving every other span where it is. The engine runs a
+// join's two inputs concurrently and their spans arrive interleaved by the
+// scheduler; the executor calls this once the query is done, so every
+// rendering of a trace (Format, JSON) lists stages in one deterministic
+// order. Safe on a nil trace.
+func (t *Trace) OrderNodeSpans(rank map[int]int) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var at []int
+	var spans []Span
+	for i, s := range t.Spans {
+		if s.Node >= 0 {
+			at = append(at, i)
+			spans = append(spans, s)
+		}
+	}
+	sort.SliceStable(spans, func(a, b int) bool { return rank[spans[a].Node] < rank[spans[b].Node] })
+	for k, i := range at {
+		t.Spans[i] = spans[k]
+	}
 }
 
 // NodeSpans returns the recorded spans for a plan node number, in Begin

@@ -20,6 +20,7 @@ func TestNilTraceSafe(t *testing.T) {
 	tr.AddWave(0, 0.5, 1, 0.1, time.Millisecond)
 	tr.Finish("sql", "shape")
 	tr.SetPlanTree("tree")
+	tr.OrderNodeSpans(map[int]int{0: 0})
 	if got := tr.NodeSpans(0); got != nil {
 		t.Fatalf("nil NodeSpans = %v", got)
 	}
@@ -92,5 +93,35 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	}
 	if decoded.SQL != "SELECT SUM(b) FROM t" || len(decoded.Spans) != 1 {
 		t.Fatalf("round trip lost data: %+v", decoded)
+	}
+}
+
+// TestOrderNodeSpans: spans of concurrently executed plan nodes arrive in
+// scheduler order; OrderNodeSpans puts them in serial execution order and
+// leaves spans that belong to no node where they were.
+func TestOrderNodeSpans(t *testing.T) {
+	// Plan: join(0) over left chain(1) and right chain(3 over 4). Serial
+	// execution records 1, 4, 3, then the join's build and probe.
+	rank := map[int]int{1: 0, 4: 1, 3: 2, 0: 3}
+	tr := &Trace{}
+	for _, s := range []Span{
+		{Name: "parse+plan", Node: -1},
+		{Name: "fused", Label: "right-leaf", Node: 4},
+		{Name: "fused", Label: "left", Node: 1},
+		{Name: "select", Label: "right", Node: 3},
+		{Name: "join-build", Node: 0},
+		{Name: "join-probe", Node: 0},
+		{Name: "estimate", Node: -1},
+	} {
+		tr.End(tr.Begin(s.Name, s.Label, s.Node), 1, 1)
+	}
+	tr.OrderNodeSpans(rank)
+	var got []string
+	for _, s := range tr.Spans {
+		got = append(got, s.Name+s.Label)
+	}
+	want := []string{"parse+plan", "fusedleft", "fusedright-leaf", "selectright", "join-build", "join-probe", "estimate"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("span order %v, want %v", got, want)
 	}
 }

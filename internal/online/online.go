@@ -387,7 +387,7 @@ func (x *Executor) itemUpdate(st *itemState, it Item, gw *core.Params, final boo
 		clamped = res.Clamped
 	}
 	// Grade this wave's CI from the accumulator's full-mask group stats —
-	// a read-only pass, so the estimate floats above are untouched.
+	// a read-only snapshot, so the estimate floats above are untouched.
 	if d := estimator.DiagnoseAccum(st.acc, it.Ratio, clamped); d != nil {
 		vu.Reliability, vu.VarianceRSE = d.Grade, d.VarianceRSE
 	}

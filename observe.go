@@ -223,6 +223,7 @@ func finishTrace(t *obs.Trace, root plan.Node, sql, shape string) {
 	if t == nil {
 		return
 	}
+	t.OrderNodeSpans(serialRanks(root))
 	t.SetPlanTree(plan.FormatAnnotated(root, func(n plan.Node, id int) string {
 		a := annotateNode(t, id)
 		// Synopsis-served scans carry the synopsis name in the annotated
@@ -236,6 +237,25 @@ func finishTrace(t *obs.Trace, root plan.Node, sql, shape string) {
 		return a
 	}))
 	t.Finish(sql, shape)
+}
+
+// serialRanks maps each plan node's number (pre-order, the engine's
+// numbering) to its position in serial execution order: inputs left to
+// right, then the node itself.
+func serialRanks(root plan.Node) map[int]int {
+	rank := map[int]int{}
+	id := 0
+	var visit func(plan.Node)
+	visit = func(n plan.Node) {
+		me := id
+		id++
+		for _, c := range n.Children() {
+			visit(c)
+		}
+		rank[me] = len(rank)
+	}
+	visit(root)
+	return rank
 }
 
 // annotateNode summarizes a plan node's spans for the annotated tree.
