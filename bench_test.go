@@ -298,16 +298,13 @@ WHERE l_orderkey = o_orderkey AND l_extendedprice > 100.0`
 // estimate) on the TPC-H generator, in two dimensions:
 //
 //   - join/…  — the paper's Query-1 shape (two sampled scans, hash join,
-//     selection), serial vs parallel, columnar vs the row-at-a-time
-//     baseline (…-rowpath);
+//     selection), serial vs parallel;
 //   - scanheavy/… — a TPC-H Q1-style single-table aggregation (sampled
-//     scan, predicate, three aggregates): the vectorized hot path's
-//     headline case, recorded in BENCH_columnar.json.
+//     scan, predicate, three aggregates): the fused kernel's headline case.
 //
 // Seeded results are bit-identical across every sub-benchmark; only
 // wall-clock may differ. On a single-core host workers=N measures engine
-// overhead, not speedup; the columnar-vs-rowpath comparison is valid on
-// any core count.
+// overhead, not speedup.
 func BenchmarkQuery(b *testing.B) {
 	db := Open()
 	if err := db.AttachTPCHConfig(tpch.Config{Orders: 20000, Customers: 2000, Parts: 500, Seed: 3}); err != nil {
@@ -324,28 +321,22 @@ SELECT SUM(l_extendedprice*(1.0-l_discount)) AS revenue,
        COUNT(*) AS n
 FROM lineitem TABLESAMPLE (25 PERCENT)
 WHERE l_quantity < 24.0`
-	run := func(sql string, workers int, rowPath bool) func(*testing.B) {
+	run := func(sql string, workers int) func(*testing.B) {
 		return func(b *testing.B) {
-			opts := []Option{WithWorkers(workers)}
-			if rowPath {
-				opts = append(opts, withRowEngine())
-			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(sql, append(opts, WithSeed(uint64(i)))...); err != nil {
+				if _, err := db.Query(sql, WithWorkers(workers), WithSeed(uint64(i))); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	}
-	b.Run("serial", run(joinSQL, 1, false))
+	b.Run("serial", run(joinSQL, 1))
 	for _, w := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), run(joinSQL, w, false))
+		b.Run(fmt.Sprintf("workers=%d", w), run(joinSQL, w))
 	}
-	b.Run("serial-rowpath", run(joinSQL, 1, true))
-	b.Run("scanheavy/columnar", run(scanSQL, 1, false))
-	b.Run("scanheavy/columnar-workers=4", run(scanSQL, 4, false))
-	b.Run("scanheavy/rowpath", run(scanSQL, 1, true))
+	b.Run("scanheavy/columnar", run(scanSQL, 1))
+	b.Run("scanheavy/columnar-workers=4", run(scanSQL, 4))
 }
 
 // BenchmarkPrepared measures compile-once/execute-many against one-shot
@@ -436,7 +427,7 @@ func BenchmarkEngineExecute(b *testing.B) {
 			eng := engine.New(engine.Config{Workers: w})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Execute(n, uint64(i)); err != nil {
+				if _, err := eng.ExecuteBatch(n, uint64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -446,9 +437,8 @@ func BenchmarkEngineExecute(b *testing.B) {
 
 // BenchmarkJoin isolates the engine's hash join (no sampling, no
 // estimation) on TPC-H-shaped inputs: lineitem ⋈ orders through the
-// columnar open-addressing path and the row-at-a-time baseline, serial and
-// parallel. Allocations are the headline (BENCH_hashjoin.json): the
-// dictionary/hash scheme materializes no per-row keys.
+// open-addressing join table, serial and parallel. Allocations are the
+// headline: the dictionary/hash scheme materializes no per-row keys.
 func BenchmarkJoin(b *testing.B) {
 	tb, err := tpch.Generate(tpch.Config{Orders: 10000, Customers: 1000, Parts: 200, Seed: 4})
 	if err != nil {
@@ -460,27 +450,20 @@ func BenchmarkJoin(b *testing.B) {
 		LeftCol:  "l_orderkey",
 		RightCol: "o_orderkey",
 	}
-	run := func(workers int, rowPath bool) func(*testing.B) {
+	run := func(workers int) func(*testing.B) {
 		return func(b *testing.B) {
 			eng := engine.New(engine.Config{Workers: workers})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var err error
-				if rowPath {
-					_, err = eng.ExecuteRows(p, 1)
-				} else {
-					_, err = eng.ExecuteBatch(p, 1)
-				}
-				if err != nil {
+				if _, err := eng.ExecuteBatch(p, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	}
-	b.Run("columnar/serial", run(1, false))
-	b.Run("columnar/workers=4", run(4, false))
-	b.Run("rowpath/serial", run(1, true))
+	b.Run("columnar/serial", run(1))
+	b.Run("columnar/workers=4", run(4))
 }
 
 // BenchmarkGroupBy measures a grouped aggregate end to end (parse, plan,

@@ -1,7 +1,7 @@
 // Command gusbench regenerates the paper's figures, tables and worked
 // examples, plus the reconstructed accuracy/runtime evaluation (the arXiv
-// preprint's experimental section is missing; see DESIGN.md). Each
-// experiment prints paper-expected values next to measured ones.
+// preprint's experimental section is missing). Each experiment prints
+// paper-expected values next to measured ones.
 //
 // Usage:
 //

@@ -42,7 +42,6 @@ import (
 	"github.com/sampling-algebra/gus/internal/hashtab"
 	"github.com/sampling-algebra/gus/internal/lineage"
 	"github.com/sampling-algebra/gus/internal/obs"
-	"github.com/sampling-algebra/gus/internal/ops"
 	"github.com/sampling-algebra/gus/internal/plan"
 	"github.com/sampling-algebra/gus/internal/relation"
 	"github.com/sampling-algebra/gus/internal/sqlparse"
@@ -377,7 +376,6 @@ type queryOptions struct {
 	maxVarianceRows int
 	systemBlockSize int
 	workers         int
-	rowEngine       bool
 	noZoneSkip      bool
 	noSynopsis      bool
 	// Progressive (QueryProgressive) settings; ignored by Query.
@@ -396,10 +394,12 @@ type queryOptions struct {
 	// WithTrace (or the statement is EXPLAIN ANALYZE); nil on the common
 	// path, where every span site reduces to one pointer test.
 	trace *obs.Trace
-	// sm holds the statement's pre-resolved per-shape metric slots and sql
-	// its original text; both set by Stmt, never by Options.
-	sm  *shapeMetrics
-	sql string
+	// sm holds the statement's pre-resolved per-shape metric slots, sql its
+	// original text and shape its normalized text; all set by Stmt, never
+	// by Options.
+	sm    *shapeMetrics
+	sql   string
+	shape string
 }
 
 // Option customizes Query.
@@ -469,12 +469,6 @@ func WithWaveRows(n int) Option {
 // partition's outcome independent of every other partition — so the switch
 // exists for benchmarks and for verifying that invariant.
 func WithZoneSkipping(on bool) Option { return func(o *queryOptions) { o.noZoneSkip = !on } }
-
-// withRowEngine routes the query through the legacy row-at-a-time engine
-// and the row-major estimator — the in-tree baseline that the vectorized
-// columnar path is regression-tested and benchmarked against. Results are
-// bit-identical to the default path.
-func withRowEngine() Option { return func(o *queryOptions) { o.rowEngine = true } }
 
 func (db *DB) buildOptions(opts []Option) queryOptions {
 	o := queryOptions{seed: 1, level: 0.95, systemBlockSize: 32}
@@ -588,6 +582,12 @@ func (db *DB) QueryContext(ctx context.Context, sql string, opts ...Option) (*Re
 		o.sql = sql
 		return db.execAttachSegment(ctx, path, o)
 	}
+	return db.execCached(ctx, sql, o, false)
+}
+
+// execCached runs sql through the plan cache, sampled or — with exact —
+// with all sampling stripped.
+func (db *DB) execCached(ctx context.Context, sql string, o queryOptions, exact bool) (*Result, error) {
 	ppStart := time.Now()
 	st, hit, err := db.prepareCached(sql)
 	if err != nil {
@@ -600,7 +600,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string, opts ...Option) (*Re
 	if o.trace != nil {
 		recordPlanSpan(o.trace, time.Since(ppStart), hit)
 	}
-	return st.exec(ctx, nil, o, false)
+	return st.exec(ctx, nil, o, exact)
 }
 
 // Exact runs the query with all sampling stripped: the true answer, for
@@ -612,20 +612,7 @@ func (db *DB) Exact(sql string, opts ...Option) (*Result, error) {
 // ExactContext is Exact with cooperative cancellation (see QueryContext).
 // It shares the plan cache with Query.
 func (db *DB) ExactContext(ctx context.Context, sql string, opts ...Option) (*Result, error) {
-	o := db.buildOptions(opts)
-	ppStart := time.Now()
-	st, hit, err := db.prepareCached(sql)
-	if err != nil {
-		db.metrics.queriesErr.Inc()
-		return nil, err
-	}
-	if o.trace == nil && st.tmpl.Explain() {
-		o.trace = &obs.Trace{}
-	}
-	if o.trace != nil {
-		recordPlanSpan(o.trace, time.Since(ppStart), hit)
-	}
-	return st.exec(ctx, nil, o, true)
+	return db.execCached(ctx, sql, db.buildOptions(opts), true)
 }
 
 // Robustness implements the §8 "database as a sample" analysis: the query
@@ -672,10 +659,8 @@ func (db *DB) Robustness(sql string, survival float64, opts ...Option) (*Result,
 	return db.run(context.Background(), planned, o)
 }
 
-// run executes a planned query — on the vectorized columnar engine by
-// default, or on the legacy row-at-a-time path under withRowEngine — and
-// estimates every SELECT item. The two paths produce bit-identical
-// results. Must be called with db.mu read-held.
+// run executes a planned query on the engine and estimates every SELECT
+// item. Must be called with db.mu read-held.
 //
 // run itself is the observability shim around runInner: in-flight gauge,
 // latency/rows/fraction metrics, outcome counters, and — when a trace is
@@ -711,7 +696,7 @@ func (db *DB) run(ctx context.Context, planned *sqlparse.Planned, o queryOptions
 		m.sampleFrac.Observe(float64(res.SampleRows) / float64(res.scannedRows))
 	}
 	if o.trace != nil {
-		finishTrace(o.trace, planned.Root, o.sql, sqlparse.Normalize(o.sql))
+		finishTrace(o.trace, planned.Root, o.sql, o.shape)
 	}
 	return res, nil
 }
@@ -733,25 +718,15 @@ func (db *DB) runInner(ctx context.Context, planned *sqlparse.Planned, o queryOp
 		})
 	}
 	eng := engine.New(engine.Config{Workers: o.workers, Context: ctx, Params: o.args, Prepared: o.prep, Trace: o.trace, DisableZoneSkip: o.noZoneSkip})
-	var sample aggSample
-	if o.rowEngine {
-		rows, err := eng.ExecuteRows(planned.Root, o.seed)
-		if err != nil {
-			return nil, err
-		}
-		sample = aggSample{rows: rows}
-	} else {
-		b, err := eng.ExecuteBatch(planned.Root, o.seed)
-		if err != nil {
-			return nil, err
-		}
-		sample = aggSample{b: b}
-		// One-shot execution: the sample batch is dead once every aggregate
-		// over it has been evaluated (the Result keeps only scalars and
-		// strings), so recycle its buffers. Release no-ops on batches that
-		// alias relation snapshots (bare scans) rather than owning storage.
-		defer b.Release()
+	sample, err := eng.ExecuteBatch(planned.Root, o.seed)
+	if err != nil {
+		return nil, err
 	}
+	// One-shot execution: the sample batch is dead once every aggregate
+	// over it has been evaluated (the Result keeps only scalars and
+	// strings), so recycle its buffers. Release no-ops on batches that
+	// alias relation snapshots (bare scans) rather than owning storage.
+	defer sample.Release()
 	cards := map[string]int{}
 	scanned := 0
 	plan.Walk(planned.Root, func(n plan.Node) {
@@ -771,7 +746,7 @@ func (db *DB) runInner(ctx context.Context, planned *sqlparse.Planned, o queryOp
 		}
 	})
 	res := &Result{
-		SampleRows:   sample.len(),
+		SampleRows:   sample.Len(),
 		PlanText:     plan.Format(planned.Root),
 		TraceText:    analysis.FormatTrace(),
 		GUSText:      analysis.G.String(),
@@ -780,17 +755,17 @@ func (db *DB) runInner(ctx context.Context, planned *sqlparse.Planned, o queryOp
 	}
 	if planned.GroupBy != "" {
 		gsp := o.trace.Begin("group", planned.GroupBy, -1)
-		groups, err := sample.partitionBy(planned.GroupBy)
+		keys, parts, err := partitionBatchByColumn(sample, planned.GroupBy)
 		if err != nil {
 			return nil, err
 		}
-		o.trace.End(gsp, int64(sample.len()), int64(len(groups)))
-		for _, grp := range groups {
-			g := Group{Key: grp.key}
+		o.trace.End(gsp, int64(sample.Len()), int64(len(keys)))
+		for gi, key := range keys {
+			g := Group{Key: key}
 			for i, agg := range planned.Aggregates {
-				v, err := db.evalAggregate(analysis.G, grp.sample, agg, i, o)
+				v, err := db.evalAggregate(analysis.G, parts[gi], agg, i, o)
 				if err != nil {
-					return nil, fmt.Errorf("gus: group %q: %w", grp.key, err)
+					return nil, fmt.Errorf("gus: group %q: %w", key, err)
 				}
 				v.cards = cards
 				g.Values = append(g.Values, *v)
@@ -810,78 +785,25 @@ func (db *DB) runInner(ctx context.Context, planned *sqlparse.Planned, o queryOp
 	return res, nil
 }
 
-// aggSample is one executed sample in whichever representation the chosen
-// engine path produced: a columnar batch (default) or row-major rows
-// (legacy baseline). The estimator entry points keep the two bit-identical.
-type aggSample struct {
-	b    *batch.Batch
-	rows *ops.Rows
-}
-
-func (s aggSample) len() int {
-	if s.b != nil {
-		return s.b.Len()
-	}
-	return s.rows.Len()
-}
-
-func (s aggSample) estimate(g *core.Params, f expr.Expr, eopts estimator.Options) (*estimator.Result, error) {
-	if s.b != nil {
-		return estimator.EstimateBatch(g, s.b, f, eopts)
-	}
-	return estimator.Estimate(g, s.rows, f, eopts)
-}
-
-func (s aggSample) ratio(g *core.Params, num, den expr.Expr, eopts estimator.Options) (*estimator.RatioResult, error) {
-	if s.b != nil {
-		return estimator.RatioBatch(g, s.b, num, den, eopts)
-	}
-	return estimator.Ratio(g, s.rows, num, den, eopts)
-}
-
-type sampleGroup struct {
-	key    string
-	sample aggSample
-}
-
-// partitionBy splits the sample into GROUP BY buckets, ordered by the
-// grouping column's value (numerically for Int/Float columns — so keys
-// come back 1, 2, 10 rather than "1", "10", "2" — lexicographically for
+// partitionBatchByColumn splits the sample into GROUP BY buckets — keys[i]
+// is the rendered group value, parts[i] that group's rows — ordered by the
+// grouping column's value (numerically for Int/Float columns — so keys come
+// back 1, 2, 10 rather than "1", "10", "2" — lexicographically for
 // strings). Restricting the sample to one group is exactly evaluating the
 // SUM-like aggregate f·1{group=k} over the whole sample, so each bucket
 // inherits the plan's top GUS unchanged.
-func (s aggSample) partitionBy(col string) ([]sampleGroup, error) {
-	if s.b != nil {
-		return partitionBatchByColumn(s.b, col)
-	}
-	return partitionRowsByColumn(s.rows, col)
-}
-
-// groupOrder sorts first-seen group keys by their column value: numeric
-// kinds numerically, strings lexicographically (Value.Compare semantics).
-func groupOrder(keys []string, vals map[string]relation.Value) {
-	sort.Slice(keys, func(a, b int) bool {
-		c, err := vals[keys[a]].Compare(vals[keys[b]])
-		if err != nil {
-			// Mixed-kind keys cannot arise from a typed column; fall back
-			// to the textual order for safety.
-			return keys[a] < keys[b]
-		}
-		return c < 0
-	})
-}
-
-// partitionBatchByColumn groups rows on an open-addressing grouper keyed
-// directly by the typed column — dictionary codes for encoded strings,
-// int64 values, float bit patterns (all NaNs one group) — with a full
-// typed compare on hash collisions. Group identity matches the historical
-// per-row AsString keys exactly (AsString is injective per kind except for
-// NaN, which it collapses, as the bit-pattern identity does too), and the
-// key string is rendered once per GROUP, not once per row.
-func partitionBatchByColumn(b *batch.Batch, col string) ([]sampleGroup, error) {
+//
+// Rows group on an open-addressing grouper keyed directly by the typed
+// column — dictionary codes for encoded strings, int64 values, float bit
+// patterns (all NaNs one group) — with a full typed compare on hash
+// collisions. Group identity is the value's AsString rendering (injective
+// per kind except for NaN, which it collapses, as the bit-pattern identity
+// does too), and the key string is rendered once per GROUP, not once per
+// row.
+func partitionBatchByColumn(b *batch.Batch, col string) (keys []string, parts []*batch.Batch, err error) {
 	idx, ok := b.Schema.Index(col)
 	if !ok {
-		return nil, fmt.Errorf("gus: unknown GROUP BY column %q", col)
+		return nil, nil, fmt.Errorf("gus: unknown GROUP BY column %q", col)
 	}
 	v := b.Cols[idx]
 	g := hashtab.NewGrouper(64)
@@ -898,9 +820,8 @@ func partitionBatchByColumn(b *batch.Batch, col string) ([]sampleGroup, error) {
 		}
 		sels[id] = append(sels[id], int32(i))
 	}
-	// Sort first-seen group order by column value — the same sort, over
-	// the same initial sequence, with the same comparisons as groupOrder,
-	// so the emitted group order is unchanged.
+	// Sort first-seen group order by column value (Value.Compare
+	// semantics).
 	order := make([]int, len(reps))
 	for i := range order {
 		order[i] = i
@@ -915,14 +836,11 @@ func partitionBatchByColumn(b *batch.Batch, col string) ([]sampleGroup, error) {
 		}
 		return cmp < 0
 	})
-	out := make([]sampleGroup, 0, len(order))
 	for _, id := range order {
-		out = append(out, sampleGroup{
-			key:    b.ValueAt(int(reps[id]), idx).AsString(),
-			sample: aggSample{b: b.Gather(sels[id])},
-		})
+		keys = append(keys, b.ValueAt(int(reps[id]), idx).AsString())
+		parts = append(parts, b.Gather(sels[id]))
 	}
-	return out, nil
+	return keys, parts, nil
 }
 
 // groupHashAt hashes row i of a column under GROUP BY identity: int64
@@ -967,35 +885,7 @@ func groupEqualAt(v expr.Vec, i, j int) bool {
 	}
 }
 
-func partitionRowsByColumn(rows *ops.Rows, col string) ([]sampleGroup, error) {
-	idx, ok := rows.Cols.Index(col)
-	if !ok {
-		return nil, fmt.Errorf("gus: unknown GROUP BY column %q", col)
-	}
-	buckets := map[string]*ops.Rows{}
-	vals := map[string]relation.Value{}
-	var keys []string
-	for _, row := range rows.Data {
-		v := row.Vals[idx]
-		k := v.AsString()
-		b, ok := buckets[k]
-		if !ok {
-			b = &ops.Rows{Cols: rows.Cols, LSch: rows.LSch}
-			buckets[k] = b
-			keys = append(keys, k)
-			vals[k] = v
-		}
-		b.Data = append(b.Data, row)
-	}
-	groupOrder(keys, vals)
-	out := make([]sampleGroup, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, sampleGroup{key: k, sample: aggSample{rows: buckets[k]}})
-	}
-	return out, nil
-}
-
-func (db *DB) evalAggregate(g *core.Params, s aggSample, agg sqlparse.Aggregate, idx int, o queryOptions) (*Value, error) {
+func (db *DB) evalAggregate(g *core.Params, s *batch.Batch, agg sqlparse.Aggregate, idx int, o queryOptions) (*Value, error) {
 	name := agg.Alias
 	if name == "" {
 		name = fmt.Sprintf("col%d", idx+1)
@@ -1026,7 +916,7 @@ func (db *DB) evalAggregate(g *core.Params, s aggSample, agg sqlparse.Aggregate,
 
 	switch agg.Kind {
 	case sqlparse.AggSum, sqlparse.AggCount:
-		er, err := s.estimate(g, f, eopts)
+		er, err := estimator.EstimateBatch(g, s, f, eopts)
 		if err != nil {
 			return nil, err
 		}
@@ -1081,11 +971,11 @@ func (db *DB) evalAggregate(g *core.Params, s aggSample, agg sqlparse.Aggregate,
 // (§9: "good quality approximations can be provided, using for example the
 // delta method"), delegating to the estimator's Ratio machinery, which
 // estimates Cov(SUM, COUNT) from unbiased bilinear lineage moments.
-func avgDelta(g *core.Params, s aggSample, f expr.Expr, eopts estimator.Options) (est, sd float64, diag *estimator.Diagnostics, err error) {
+func avgDelta(g *core.Params, s *batch.Batch, f expr.Expr, eopts estimator.Options) (est, sd float64, diag *estimator.Diagnostics, err error) {
 	if f == nil {
 		return 0, 0, nil, fmt.Errorf("gus: AVG(*) is not valid SQL")
 	}
-	r, err := s.ratio(g, f, expr.Int(1), eopts)
+	r, err := estimator.RatioBatch(g, s, f, expr.Int(1), eopts)
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("gus: AVG: %w", err)
 	}

@@ -182,6 +182,7 @@ func All() []*Analyzer {
 		PoolContract,
 		HotPathMaps,
 		CtxFlow,
+		OracleImport,
 	}
 }
 

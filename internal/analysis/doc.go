@@ -25,6 +25,11 @@
 //	ctxflow       no context.Background()/TODO() below the gus.DB API
 //	              layer, and partition walks use ops.ForEachPartCtx so
 //	              cancellation propagates.
+//	oracleimport  no ops.Rows/ops.Row, plan.Execute or
+//	              sampling.Method.Apply in the module root, engine,
+//	              online, audit or gusserve: the serial row-major stack
+//	              is the test oracle, never a query path. No suppression
+//	              directive exists.
 //	annotations   the //gus: directive grammar itself (see below).
 //
 // # Annotation grammar

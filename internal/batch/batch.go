@@ -1,5 +1,5 @@
 // Package batch implements typed columnar batches: the unit of data flow
-// on the engine's vectorized hot path. A Batch holds one flat typed slice
+// in the engine and the estimator. A Batch holds one flat typed slice
 // per column (expr.Vec) plus one flat lineage-ID column per base relation
 // in its lineage schema — exactly the §6.2 payload (per-tuple aggregate
 // inputs and lineage) without a boxed relation.Tuple per row.
@@ -9,9 +9,10 @@
 // writing through an input's slices. Scanning a base relation is O(1):
 // the batch aliases the relation's cached columnar Snapshot.
 //
-// The row-at-a-time ops.Rows representation remains the semantics oracle;
-// FromRows/ToRows convert losslessly at the boundaries (fallback operators,
-// tests, and the public row API).
+// The row-major ops.Rows representation belongs to the serial reference
+// executor (plan.Execute); FromRows/ToRows convert losslessly at that
+// boundary — tests comparing the engine against the reference, and the
+// synopsis builder.
 package batch
 
 import (
@@ -189,8 +190,9 @@ func FromRows(r *ops.Rows) (*Batch, error) {
 	return b, nil
 }
 
-// ToRows materializes the batch row-major, for boundaries that still speak
-// ops.Rows (fallback operators, the public row API, tests).
+// ToRows materializes the batch row-major, for boundaries that speak
+// ops.Rows (tests comparing against the reference executor, the synopsis
+// builder).
 func (b *Batch) ToRows() *ops.Rows {
 	data := make([]ops.Row, b.rows)
 	nslots := len(b.Lin)

@@ -102,9 +102,9 @@ func TestGather(t *testing.T) {
 }
 
 // TestHashMirrorsRowPathKeys: canonical hashing and typed equality must
-// agree with the row-path Value.Key encoding — equal keys hash equal and
-// EqualAt holds exactly when the Key strings match — or columnar joins
-// would group differently from the row path.
+// agree with the Value.Key encoding the reference ops.HashJoin keys on —
+// equal keys hash equal and EqualAt holds exactly when the Key strings
+// match — or engine joins would group differently from the reference.
 func TestHashMirrorsRowPathKeys(t *testing.T) {
 	vals := []relation.Value{
 		relation.Int(42), relation.Int(-7), relation.Int(1 << 52),

@@ -1,9 +1,6 @@
-// Columnar execution: the engine's vectorized hot path. Plans execute over
-// typed batch.Batch columns instead of boxed rows, with the same morsel
-// partitioning and the same per-(seed, node, partition) sampling decisions
-// as the row-at-a-time path — so for any (plan, seed, worker count) the
-// two produce bit-identical rows, and all the determinism guarantees of
-// the row engine carry over unchanged.
+// Columnar execution. Plans execute over typed batch.Batch columns with
+// morsel partitioning and per-(seed, node, partition) sampling decisions
+// (see the package comment for the determinism contract).
 //
 // The common TABLESAMPLE shape — scan → {Bernoulli, SYSTEM, lineage-hash}
 // sample → selections → optional projection — runs as ONE fused
@@ -11,12 +8,12 @@
 // vector through sampling and every predicate, and only surviving rows are
 // ever gathered or projected, directly into their final output position.
 // WOR sampling, joins and the lineage set operators are separate columnar
-// operators; sampling methods the engine does not know fall back to the
-// row representation for just that node.
+// operators.
 package engine
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/sampling-algebra/gus/internal/batch"
 	"github.com/sampling-algebra/gus/internal/expr"
@@ -29,22 +26,15 @@ import (
 	"github.com/sampling-algebra/gus/internal/stats"
 )
 
-// ExecuteBatch runs the plan on the columnar path and returns the result
-// as a typed batch. Determinism contract: identical to Execute (which is
-// this batch converted to rows) for any (plan, seed) at any worker count.
+// ExecuteBatch runs the plan and returns the result as a typed batch with
+// its lineage. seed drives all sampling decisions; the same (plan, seed)
+// yields the same batch regardless of Config.Workers.
 func (e *Engine) ExecuteBatch(root plan.Node, seed uint64) (*batch.Batch, error) {
 	ids := numberNodes(root)
 	return e.execB(root, seed, ids)
 }
 
-// bothB is execBoth on the columnar path.
-func (e *Engine) bothB(l, r plan.Node, seed uint64, ids map[plan.Node]uint64) (*batch.Batch, *batch.Batch, error) {
-	return execBoth(e.workers, l, r, func(n plan.Node) (*batch.Batch, error) {
-		return e.execB(n, seed, ids)
-	})
-}
-
-// execB dispatches one plan node on the columnar path. When a trace is
+// execB dispatches one plan node. When a trace is
 // attached, every operator records a span (the fused chain records one
 // span for the whole scan→sample→select→project pass; joins split into
 // build and probe). The untraced path pays one nil test per span site.
@@ -109,7 +99,7 @@ func (e *Engine) execB(n plan.Node, seed uint64, ids map[plan.Node]uint64) (*bat
 		e.trace.End(sp, int64(in.Len()), int64(out.Len()))
 		return out, nil
 	case *plan.Join:
-		l, r, err := e.bothB(t.Left, t.Right, seed, ids)
+		l, r, err := e.both(t.Left, t.Right, seed, ids)
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +111,7 @@ func (e *Engine) execB(n plan.Node, seed uint64, ids map[plan.Node]uint64) (*bat
 		r.Release()
 		return out, err
 	case *plan.Theta:
-		l, r, err := e.bothB(t.Left, t.Right, seed, ids)
+		l, r, err := e.both(t.Left, t.Right, seed, ids)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +123,7 @@ func (e *Engine) execB(n plan.Node, seed uint64, ids map[plan.Node]uint64) (*bat
 		e.trace.End(sp, int64(l.Len())+int64(r.Len()), int64(out.Len()))
 		return out, nil
 	case *plan.Union:
-		l, r, err := e.bothB(t.Left, t.Right, seed, ids)
+		l, r, err := e.both(t.Left, t.Right, seed, ids)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +135,7 @@ func (e *Engine) execB(n plan.Node, seed uint64, ids map[plan.Node]uint64) (*bat
 		e.trace.End(sp, int64(l.Len())+int64(r.Len()), int64(out.Len()))
 		return out, nil
 	case *plan.Intersect:
-		l, r, err := e.bothB(t.Left, t.Right, seed, ids)
+		l, r, err := e.both(t.Left, t.Right, seed, ids)
 		if err != nil {
 			return nil, err
 		}
@@ -201,7 +191,7 @@ type fusedChain struct {
 
 // fusedChainOf recognizes the fusable shape rooted at n, or returns nil.
 // Only a sample sitting directly above the scan fuses: its partition spans
-// are then the relation's spans, exactly as on the row path.
+// are then the relation's spans.
 func fusedChainOf(n plan.Node) *fusedChain {
 	c := &fusedChain{}
 	n = stripGUS(n)
@@ -396,7 +386,7 @@ func newSampleStage(m sampling.Method, in *batch.Batch, sub uint64) (*sampleStag
 		}
 		s.res, s.resSlot = t, slot
 	default:
-		return nil, fmt.Errorf("engine: sample stage for unknown method %T", m)
+		return nil, fmt.Errorf("unsupported sampling method %T", m)
 	}
 	return s, nil
 }
@@ -424,10 +414,10 @@ func growSel(sel []int32, n int) []int32 {
 // the identical set: only the write pattern differs.
 func branchySel(frac float64) bool { return frac < 0.0625 || frac > 0.9375 }
 
-// selectSpan appends the kept row indices of span to sel. Decisions match
-// the row-path samplers bit for bit: same sub-seeds, same per-partition
-// RNG consumption, same hash functions. Only the selection-vector write is
-// restructured (see growSel / branchySel); the kept set is identical.
+// selectSpan appends the kept row indices of span to sel. Every decision
+// is a pure function of (sub-seed, global partition index, row index) or
+// of the row's lineage; the two write patterns (see growSel / branchySel)
+// keep the identical set.
 func (s *sampleStage) selectSpan(in *batch.Batch, p int, span ops.Span, sel []int32) []int32 {
 	k := len(sel)
 	sel = growSel(sel, span.Hi-span.Lo)
@@ -535,9 +525,9 @@ func (e *Engine) newProjSpec(schema *relation.Schema, names []string, exprs []ex
 }
 
 // schemaFor builds the output schema. With at least one output row the
-// kinds are the kernels' static kinds (identical to what the row path
-// infers from the first row); an empty output defaults every column to
-// float, again matching the row path.
+// kinds are the kernels' static kinds (identical to what the reference
+// executor's Project infers from the first row); an empty output defaults
+// every column to float, again matching it.
 func (ps *projSpec) schemaFor(total int) (*relation.Schema, error) {
 	cols := make([]relation.Column, len(ps.compiled))
 	for i, c := range ps.compiled {
@@ -758,9 +748,9 @@ func (e *Engine) pipeWindow(in *batch.Batch, smp *sampleStage, preds []*expr.Vec
 }
 
 // copyVec copies a dense kernel result into an output column at offset.
-// Kinds match by construction except the row path's int→float widening
-// of project results, mirrored here (only reachable on the empty-input
-// float-default schema, but kept for safety).
+// Kinds match by construction except the reference Project's int→float
+// widening of project results, mirrored here (only reachable on the
+// empty-input float-default schema, but kept for safety).
 func copyVec(src, dst expr.Vec, off int) {
 	if src.Kind == relation.KindInt && dst.Kind == relation.KindFloat {
 		out := dst.F[off:]
@@ -803,33 +793,72 @@ func (e *Engine) execProjectB(in *batch.Batch, names []string, exprs []expr.Expr
 	return out, err
 }
 
-// execSampleB runs one sampling operator columnar. Bernoulli, SYSTEM and
-// lineage-hash reuse the fused kernel with only a sampling stage; WOR has
-// its own global top-K implementation; unknown methods fall back to the
-// row representation for this one node (serial, node-seeded — exactly the
-// row path's fallback).
+// execSampleB runs one sampling operator. Bernoulli, SYSTEM, lineage-hash
+// and residual reuse the fused kernel with only a sampling stage; WOR has
+// its own global top-K implementation.
 func (e *Engine) execSampleB(t *plan.Sample, in *batch.Batch, sub uint64) (*batch.Batch, error) {
-	switch m := t.Method.(type) {
-	case *sampling.Bernoulli, *sampling.Block, *sampling.LineageHash, *sampling.Residual:
-		smp, err := newSampleStage(t.Method, in, sub)
-		if err != nil {
-			return nil, err
-		}
-		out, _, err := e.pipe(in, smp, nil, nil, nil)
-		return out, err
-	case *sampling.WOR:
+	if m, ok := t.Method.(*sampling.WOR); ok {
 		return e.sampleWORB(in, m, sub)
-	default:
-		rows, err := t.Method.Apply(in.ToRows(), stats.NewRNG(sub))
-		if err != nil {
-			return nil, err
-		}
-		return batch.FromRows(rows)
 	}
+	smp, err := newSampleStage(t.Method, in, sub)
+	if err != nil {
+		return nil, err
+	}
+	out, _, err := e.pipe(in, smp, nil, nil, nil)
+	return out, err
 }
 
-// sampleWORB is the columnar WOR: the same worChoose K-subset as the row
-// path, materialized with one gather.
+// worChoose picks the K-subset the priority-selection WOR keeps from n
+// input rows, in ascending input order: row i gets priority HashID(sub, i)
+// — i.i.d. uniform — and the K smallest priorities win, which is a uniform
+// K-subset. Each partition pre-selects its K best candidates in parallel;
+// the coordinator merges the ≤ parts·K candidates and keeps the global K.
+func (e *Engine) worChoose(n, k int, sub uint64) ([]int, error) {
+	type cand struct {
+		pri float64
+		idx int
+	}
+	byPriority := func(c []cand) func(a, b int) bool {
+		return func(a, b int) bool {
+			if c[a].pri != c[b].pri {
+				return c[a].pri < c[b].pri
+			}
+			return c[a].idx < c[b].idx
+		}
+	}
+	spans := ops.Partitions(n, e.partSize)
+	parts := make([][]cand, len(spans))
+	err := e.forEach(len(spans), n, func(p int) error {
+		local := make([]cand, 0, spans[p].Hi-spans[p].Lo)
+		for i := spans[p].Lo; i < spans[p].Hi; i++ {
+			local = append(local, cand{pri: stats.HashID(sub, uint64(i)), idx: i})
+		}
+		sort.Slice(local, byPriority(local))
+		if len(local) > k {
+			local = local[:k]
+		}
+		parts[p] = local
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var merged []cand
+	for _, p := range parts {
+		merged = append(merged, p...)
+	}
+	sort.Slice(merged, byPriority(merged))
+	chosen := make([]int, k)
+	for i := range chosen {
+		chosen[i] = merged[i].idx
+	}
+	sort.Ints(chosen)
+	return chosen, nil
+}
+
+// sampleWORB draws exactly K rows uniformly without replacement via
+// worChoose, emitting the sample in input order (as the serial WOR does)
+// with one gather.
 func (e *Engine) sampleWORB(in *batch.Batch, m *sampling.WOR, sub uint64) (*batch.Batch, error) {
 	if err := requireRelationB(in, m.Rel); err != nil {
 		return nil, err
@@ -854,10 +883,9 @@ func (e *Engine) sampleWORB(in *batch.Batch, m *sampling.WOR, sub uint64) (*batc
 // encoded string columns), a radix-partitioned parallel build, and a
 // parallel probe emitting (build, probe) index pairs. Chains hold
 // ascending build rows and probe partitions emit in row order, so the
-// output is row-for-row identical to the merged-partial-map implementation
-// it replaces — and to the row path — at any worker count. Matches are
-// decided by canonical hash plus EqualAt's full typed compare, never by
-// materialized string keys.
+// output is row-for-row identical to the reference executor's hash join
+// at any worker count. Matches are decided by canonical hash plus
+// EqualAt's full typed compare, never by materialized string keys.
 func (e *Engine) execJoinB(l, r *batch.Batch, leftCol, rightCol string, node int) (*batch.Batch, error) {
 	li, ok := l.Schema.Index(leftCol)
 	if !ok {
@@ -1070,9 +1098,10 @@ func setConst(dst *expr.Vec, src expr.Vec, i int) {
 }
 
 // execUnionB merges two samples of the same expression, deduplicating by
-// lineage in the same l-then-r first-seen order as ops.Union — but on a
-// pooled open-addressing grouper keyed by lineage hashes with slot-wise ID
-// compare, instead of materializing an encoded string key per row.
+// lineage in the same l-then-r first-seen order as the reference Union —
+// but on a pooled open-addressing grouper keyed by lineage hashes with
+// slot-wise ID compare, instead of materializing an encoded string key per
+// row.
 func execUnionB(l, r *batch.Batch) (*batch.Batch, error) {
 	ra, err := alignToB(r, l)
 	if err != nil {
@@ -1126,7 +1155,7 @@ func execUnionB(l, r *batch.Batch) (*batch.Batch, error) {
 }
 
 // execIntersectB keeps l-rows whose lineage also appears in r (compaction,
-// Prop. 8), columnar counterpart of ops.Intersect — membership tested on
+// Prop. 8), counterpart of the reference Intersect — membership tested on
 // lineage hashes with full ID compare, no per-row key strings.
 func execIntersectB(l, r *batch.Batch) (*batch.Batch, error) {
 	ra, err := alignToB(r, l)
@@ -1183,7 +1212,7 @@ func alignToB(r, l *batch.Batch) (*batch.Batch, error) {
 }
 
 // requireRelationB checks that the batch's lineage schema covers the
-// sampled relation, matching the row-path error behavior.
+// sampled relation, matching the serial methods' error behavior.
 func requireRelationB(in *batch.Batch, rel string) error {
 	if _, ok := in.LSch.Index(rel); !ok {
 		return fmt.Errorf("input lineage %v does not include %q", in.LSch.Names(), rel)

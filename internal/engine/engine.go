@@ -1,10 +1,10 @@
-// Package engine is the parallel partitioned query executor: a
-// morsel-style runtime that splits every operator's input into fixed-size
-// row partitions (ops.Partitions), processes partitions on a worker pool,
-// and merges per-partition outputs in partition order.
+// Package engine is the query executor: a columnar, morsel-style runtime
+// over typed batch.Batch columns that splits every operator's input into
+// fixed-size row partitions (ops.Partitions), processes partitions on a
+// worker pool, and merges per-partition outputs in partition order.
 //
 // Determinism contract: for a given (plan, seed), the engine produces
-// bit-identical rows at ANY worker count. Three rules enforce it:
+// bit-identical batches at ANY worker count. Three rules enforce it:
 //
 //  1. partition boundaries depend only on the data and a fixed partition
 //     size, never on the worker count;
@@ -16,16 +16,18 @@
 //
 // GUS quasi-operators remain pass-throughs at execution time (§4.2 of the
 // paper); the engine changes how plans are *executed*, not what they mean.
-// For plans without Sample nodes the engine's output is row-for-row
-// identical to the serial plan.Execute reference executor.
+// The serial plan.Execute (over internal/ops and sampling.Method.Apply) is
+// the reference executor tests compare against: for plans without Sample
+// nodes the engine's output is row-for-row identical to it. It never runs
+// on a query path.
 package engine
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 
+	"github.com/sampling-algebra/gus/internal/batch"
 	"github.com/sampling-algebra/gus/internal/expr"
 	"github.com/sampling-algebra/gus/internal/obs"
 	"github.com/sampling-algebra/gus/internal/ops"
@@ -126,12 +128,6 @@ func (e *Engine) compileVec(x expr.Expr, schema *relation.Schema) (*expr.VecComp
 	return expr.CompileVecBind(x, schema, e.kinds)
 }
 
-// compileScalar compiles an expression for the row-at-a-time path with the
-// execution's parameter values baked in.
-func (e *Engine) compileScalar(x expr.Expr, schema *relation.Schema) (expr.Compiled, error) {
-	return expr.CompileBind(x, schema, e.params)
-}
-
 // Workers reports the configured worker-pool width.
 func (e *Engine) Workers() int { return e.workers }
 
@@ -140,29 +136,6 @@ func (e *Engine) Workers() int { return e.workers }
 // (one-shot queries build one engine per run; progressive waves keep one
 // engine per stream, so the count accumulates over waves).
 func (e *Engine) PartitionsSkipped() int64 { return e.skipped.Load() }
-
-// Execute runs the plan and returns the result rows with their lineage.
-// seed drives all sampling decisions; the same (plan, seed) yields the
-// same rows regardless of Config.Workers.
-//
-// Execution routes through the vectorized columnar path (ExecuteBatch)
-// and materializes rows at the end; ExecuteRows is the original
-// row-at-a-time path, kept as the in-tree baseline the columnar kernels
-// are tested and benchmarked against. All three entry points produce
-// bit-identical rows for the same (plan, seed) at any worker count.
-func (e *Engine) Execute(root plan.Node, seed uint64) (*ops.Rows, error) {
-	b, err := e.ExecuteBatch(root, seed)
-	if err != nil {
-		return nil, err
-	}
-	return b.ToRows(), nil
-}
-
-// ExecuteRows runs the plan on the row-at-a-time partitioned path.
-func (e *Engine) ExecuteRows(root plan.Node, seed uint64) (*ops.Rows, error) {
-	ids := numberNodes(root)
-	return e.exec(root, seed, ids)
-}
 
 // NumberNodes exposes the engine's node numbering (pre-order walk) so
 // trace consumers can tie spans back to rendered plan trees.
@@ -206,93 +179,27 @@ func (e *Engine) forEach(parts, rows int, fn func(p int) error) error {
 	return ops.ForEachPartCtx(e.ctx, workers, parts, fn)
 }
 
-// execBoth executes two independent subplans concurrently (plan-level
-// parallelism for join/union/intersect inputs), generically over the
-// result representation. The left plan runs on the calling goroutine and
-// a left error wins, for both the row and columnar paths.
-func execBoth[T any](workers int, l, r plan.Node, exec func(plan.Node) (T, error)) (lr, rr T, err error) {
-	if workers <= 1 {
-		if lr, err = exec(l); err != nil {
-			return lr, rr, err
+// both executes two independent subplans concurrently (plan-level
+// parallelism for join/union/intersect inputs). The left plan runs on the
+// calling goroutine and a left error wins.
+func (e *Engine) both(l, r plan.Node, seed uint64, ids map[plan.Node]uint64) (lb, rb *batch.Batch, err error) {
+	if e.workers <= 1 {
+		if lb, err = e.execB(l, seed, ids); err != nil {
+			return nil, nil, err
 		}
-		rr, err = exec(r)
-		return lr, rr, err
+		rb, err = e.execB(r, seed, ids)
+		return lb, rb, err
 	}
 	var rerr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		rr, rerr = exec(r)
+		rb, rerr = e.execB(r, seed, ids)
 	}()
-	lr, err = exec(l)
+	lb, err = e.execB(l, seed, ids)
 	<-done
 	if err == nil {
 		err = rerr
 	}
-	return lr, rr, err
-}
-
-// both is execBoth on the row-at-a-time path.
-func (e *Engine) both(l, r plan.Node, seed uint64, ids map[plan.Node]uint64) (*ops.Rows, *ops.Rows, error) {
-	return execBoth(e.workers, l, r, func(n plan.Node) (*ops.Rows, error) {
-		return e.exec(n, seed, ids)
-	})
-}
-
-// exec dispatches one plan node.
-func (e *Engine) exec(n plan.Node, seed uint64, ids map[plan.Node]uint64) (*ops.Rows, error) {
-	switch t := n.(type) {
-	case *plan.Scan:
-		return e.execScan(t)
-	case *plan.Sample:
-		in, err := e.exec(t.Input, seed, ids)
-		if err != nil {
-			return nil, err
-		}
-		out, err := e.execSample(t, in, mix(seed, ids[n], 0))
-		if err != nil {
-			return nil, fmt.Errorf("engine: %s: %w", t.Label(), err)
-		}
-		return out, nil
-	case *plan.Select:
-		in, err := e.exec(t.Input, seed, ids)
-		if err != nil {
-			return nil, err
-		}
-		return e.execSelect(in, t)
-	case *plan.Project:
-		in, err := e.exec(t.Input, seed, ids)
-		if err != nil {
-			return nil, err
-		}
-		return e.execProject(in, t)
-	case *plan.Join:
-		l, r, err := e.both(t.Left, t.Right, seed, ids)
-		if err != nil {
-			return nil, err
-		}
-		return e.execJoin(l, r, t.LeftCol, t.RightCol)
-	case *plan.Theta:
-		l, r, err := e.both(t.Left, t.Right, seed, ids)
-		if err != nil {
-			return nil, err
-		}
-		return e.execTheta(l, r, t)
-	case *plan.Union:
-		l, r, err := e.both(t.Left, t.Right, seed, ids)
-		if err != nil {
-			return nil, err
-		}
-		return ops.Union(l, r)
-	case *plan.Intersect:
-		l, r, err := e.both(t.Left, t.Right, seed, ids)
-		if err != nil {
-			return nil, err
-		}
-		return ops.Intersect(l, r)
-	case *plan.GUS:
-		return e.exec(t.Input, seed, ids)
-	default:
-		return nil, fmt.Errorf("engine: unknown node %T", n)
-	}
+	return lb, rb, err
 }

@@ -37,6 +37,16 @@ func query1Plan(tb *tpch.Tables) plan.Node {
 	}
 }
 
+// execRows runs p and renders the batch in the reference executor's row
+// representation, for comparison against plan.Execute and ops.*.
+func execRows(e *Engine, p plan.Node, seed uint64) (*ops.Rows, error) {
+	b, err := e.ExecuteBatch(p, seed)
+	if err != nil {
+		return nil, err
+	}
+	return b.ToRows(), nil
+}
+
 func sameRows(t *testing.T, label string, a, b *ops.Rows) {
 	t.Helper()
 	if a.Len() != b.Len() {
@@ -87,7 +97,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		},
 	}
 	for name, p := range plans {
-		ref, err := New(Config{Workers: 1, PartitionSize: 64, SerialCutoff: 1}).Execute(p, 42)
+		ref, err := execRows(New(Config{Workers: 1, PartitionSize: 64, SerialCutoff: 1}), p, 42)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -95,7 +105,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 			t.Fatalf("%s: empty reference result", name)
 		}
 		for _, w := range []int{2, 4, 8} {
-			got, err := New(Config{Workers: w, PartitionSize: 64, SerialCutoff: 1}).Execute(p, 42)
+			got, err := execRows(New(Config{Workers: w, PartitionSize: 64, SerialCutoff: 1}), p, 42)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, w, err)
 			}
@@ -130,7 +140,7 @@ func TestMatchesSerialExecutorWithoutSampling(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: serial: %v", name, err)
 		}
-		got, err := New(Config{Workers: 4, PartitionSize: 128, SerialCutoff: 1}).Execute(p, 1)
+		got, err := execRows(New(Config{Workers: 4, PartitionSize: 128, SerialCutoff: 1}), p, 1)
 		if err != nil {
 			t.Fatalf("%s: engine: %v", name, err)
 		}
@@ -144,7 +154,7 @@ func TestWORDrawsExactlyK(t *testing.T) {
 	tb := genTables(t, 1000)
 	wor, _ := sampling.NewWOR("orders", 123)
 	p := &plan.Sample{Input: &plan.Scan{Rel: tb.Orders}, Method: wor}
-	rows, err := New(Config{Workers: 4, PartitionSize: 64, SerialCutoff: 1}).Execute(p, 9)
+	rows, err := execRows(New(Config{Workers: 4, PartitionSize: 64, SerialCutoff: 1}), p, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +169,7 @@ func TestWORDrawsExactlyK(t *testing.T) {
 		}
 	}
 	// Different seeds draw different subsets.
-	rows2, err := New(Config{Workers: 4, PartitionSize: 64, SerialCutoff: 1}).Execute(p, 10)
+	rows2, err := execRows(New(Config{Workers: 4, PartitionSize: 64, SerialCutoff: 1}), p, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +188,7 @@ func TestWORDrawsExactlyK(t *testing.T) {
 	}
 	// K ≥ N keeps everything.
 	worAll, _ := sampling.NewWOR("orders", 10_000_000)
-	all, err := New(Config{}).Execute(&plan.Sample{Input: &plan.Scan{Rel: tb.Orders}, Method: worAll}, 3)
+	all, err := execRows(New(Config{}), &plan.Sample{Input: &plan.Scan{Rel: tb.Orders}, Method: worAll}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +202,7 @@ func TestBernoulliRate(t *testing.T) {
 	tb := genTables(t, 4000)
 	bern, _ := sampling.NewBernoulli("lineitem", 0.25)
 	p := &plan.Sample{Input: &plan.Scan{Rel: tb.Lineitem}, Method: bern}
-	rows, err := New(Config{Workers: 4, PartitionSize: 256, SerialCutoff: 1}).Execute(p, 5)
+	rows, err := execRows(New(Config{Workers: 4, PartitionSize: 256, SerialCutoff: 1}), p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +219,7 @@ func TestBlockLineageRewrite(t *testing.T) {
 	tb := genTables(t, 500)
 	blk, _ := sampling.NewBlock("orders", 32, 0.5)
 	p := &plan.Sample{Input: &plan.Scan{Rel: tb.Orders}, Method: blk}
-	rows, err := New(Config{Workers: 3, PartitionSize: 50, SerialCutoff: 1}).Execute(p, 21)
+	rows, err := execRows(New(Config{Workers: 3, PartitionSize: 50, SerialCutoff: 1}), p, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +239,7 @@ func TestBlockLineageRewrite(t *testing.T) {
 	bad := &plan.Sample{Input: &plan.Join{
 		Left: &plan.Scan{Rel: tb.Lineitem}, Right: &plan.Scan{Rel: tb.Orders},
 		LeftCol: "l_orderkey", RightCol: "o_orderkey"}, Method: blk}
-	if _, err := New(Config{}).Execute(bad, 1); err == nil {
+	if _, err := execRows(New(Config{}), bad, 1); err == nil {
 		t.Fatal("SYSTEM sampling above a join accepted")
 	}
 }
@@ -250,11 +260,11 @@ func TestUnionIntersect(t *testing.T) {
 		Right: &plan.Sample{Input: scan(), Method: b2},
 	}
 	eng := New(Config{Workers: 4, PartitionSize: 64, SerialCutoff: 1})
-	ur, err := eng.Execute(u, 7)
+	ur, err := execRows(eng, u, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ir, err := eng.Execute(i, 7)
+	ir, err := execRows(eng, i, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,14 +287,14 @@ func TestErrorPropagation(t *testing.T) {
 		Input: &plan.Scan{Rel: tb.Orders},
 		Pred:  expr.Gt(expr.Col("no_such_column"), expr.Float(0)),
 	}
-	if _, err := New(Config{Workers: 4}).Execute(bad, 1); err == nil {
+	if _, err := execRows(New(Config{Workers: 4}), bad, 1); err == nil {
 		t.Fatal("unknown column accepted")
 	}
 	badJoin := &plan.Join{
 		Left: &plan.Scan{Rel: tb.Orders}, Right: &plan.Scan{Rel: tb.Customer},
 		LeftCol: "nope", RightCol: "c_custkey",
 	}
-	if _, err := New(Config{Workers: 4}).Execute(badJoin, 1); err == nil {
+	if _, err := execRows(New(Config{Workers: 4}), badJoin, 1); err == nil {
 		t.Fatal("unknown join column accepted")
 	}
 }
@@ -293,7 +303,7 @@ func TestErrorPropagation(t *testing.T) {
 func TestGUSPassThrough(t *testing.T) {
 	tb := genTables(t, 400)
 	inner := plan.Node(&plan.Scan{Rel: tb.Orders})
-	rowsPlain, err := New(Config{}).Execute(inner, 1)
+	rowsPlain, err := execRows(New(Config{}), inner, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +311,7 @@ func TestGUSPassThrough(t *testing.T) {
 	wrapped := plan.WrapScans(inner, func(s *plan.Scan) plan.Node {
 		return &plan.GUS{Input: s}
 	})
-	rowsWrapped, err := New(Config{}).Execute(wrapped, 1)
+	rowsWrapped, err := execRows(New(Config{}), wrapped, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@
 // moments group over the batch's per-slot lineage-ID columns without ever
 // materializing a row.
 //
-// Bit-identity contract: for the same sample, EstimateBatch/RatioBatch
-// produce exactly the floats Estimate/Ratio produce on the row-major
-// representation with the same Options — the per-row f values are computed
+// Bit-identity contract: for the same sample and Options, EstimateBatch
+// produces exactly the floats the reference adapter Estimate produces on
+// the row-major ops.Rows representation — the per-row f values are computed
 // by the same scalar operations, and every sum uses the same partition
 // structure and merge order.
 package estimator
@@ -54,8 +54,8 @@ func annotateDiag(opts Options, sp int, d *Diagnostics) {
 	})
 }
 
-// RatioBatch estimates num/den over a columnar sample — the batch
-// counterpart of Ratio, sharing its delta-method core.
+// RatioBatch estimates num/den over a columnar sample with the
+// delta-method variance (see ratioSrc).
 func RatioBatch(g *core.Params, b *batch.Batch, num, den expr.Expr, opts Options) (*RatioResult, error) {
 	if !b.LSch.Equal(g.Schema()) {
 		return nil, fmt.Errorf("estimator: sample lineage schema %v does not match GUS schema %v",
@@ -81,8 +81,8 @@ func RatioBatch(g *core.Params, b *batch.Batch, num, den expr.Expr, opts Options
 
 // sumFBatch evaluates the aggregate argument with vectorized kernels,
 // partition at a time, returning the per-row values (their sums are taken
-// downstream by totalOf, with the same partition structure the row path
-// uses — so every float accumulation order matches it). Each span
+// downstream by totalOf, with the same partition structure whatever the
+// worker count). Each span
 // evaluates over zero-copy column slices; no gather, no selection vector.
 func sumFBatch(b *batch.Batch, f expr.Expr, opts Options) ([]float64, error) {
 	c, err := expr.CompileVec(f, b.Schema)

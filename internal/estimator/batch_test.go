@@ -62,29 +62,44 @@ func TestEstimateBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRatioBatchBitIdentical covers the delta-method AVG path.
+// TestRatioBatchBitIdentical covers the delta-method AVG path: the
+// component SUMs must be the row-fed SBox's float for float, and the whole
+// ratio identical at every worker count.
 func TestRatioBatchBitIdentical(t *testing.T) {
 	g, rows, b := batchSample(t, 4000, 30)
 	num := expr.Col("v")
 	den := expr.Int(1)
+	var first *RatioResult
 	for _, workers := range []int{1, 4} {
 		opts := Options{Workers: workers, Seed: 5, PartitionSize: 256}
-		want, err := Ratio(g, rows, num, den, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := RatioBatch(g, b, num, den, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Estimate != want.Estimate || got.Variance != want.Variance || got.Cov != want.Cov {
+		for _, c := range []struct {
+			f    expr.Expr
+			part *Result
+		}{{num, got.Num}, {den, got.Den}} {
+			want, err := Estimate(g, rows, c.f, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.part.Estimate != want.Estimate || c.part.RawVariance != want.RawVariance {
+				t.Errorf("workers=%d: SUM(%s) (%.17g, %.17g) vs (%.17g, %.17g)", workers, c.f,
+					c.part.Estimate, c.part.RawVariance, want.Estimate, want.RawVariance)
+			}
+		}
+		if first == nil {
+			first = got
+		}
+		if got.Estimate != first.Estimate || got.Variance != first.Variance || got.Cov != first.Cov {
 			t.Errorf("workers=%d: ratio (%.17g, %.17g, %.17g) vs (%.17g, %.17g, %.17g)",
-				workers, got.Estimate, got.Variance, got.Cov, want.Estimate, want.Variance, want.Cov)
+				workers, got.Estimate, got.Variance, got.Cov, first.Estimate, first.Variance, first.Cov)
 		}
 	}
 }
 
-// TestEstimateBatchSchemaMismatch mirrors the row-path validation.
+// TestEstimateBatchSchemaMismatch mirrors Estimate's validation.
 func TestEstimateBatchSchemaMismatch(t *testing.T) {
 	_, _, b := batchSample(t, 500, 10)
 	wrong, err := core.Bernoulli("elsewhere", 0.5)

@@ -5,9 +5,7 @@ import (
 	"math"
 
 	"github.com/sampling-algebra/gus/internal/core"
-	"github.com/sampling-algebra/gus/internal/expr"
 	"github.com/sampling-algebra/gus/internal/lineage"
-	"github.com/sampling-algebra/gus/internal/ops"
 )
 
 // BilinearMoments computes the cross moments Y_S(f,g) for every S:
@@ -77,30 +75,15 @@ type RatioResult struct {
 // StdDev returns the delta-method standard deviation.
 func (r *RatioResult) StdDev() float64 { return math.Sqrt(r.Variance) }
 
-// Ratio estimates num/den where both are SUM aggregates over the same GUS
-// sample, with the delta-method variance the paper's §9 sketches:
+// ratioSrc is the core of RatioBatch: it estimates num/den, where both are
+// SUM aggregates over the same GUS sample given as per-slot lineage columns
+// and per-row values, with the delta-method variance the paper's §9
+// sketches:
 //
 //	Var(N/D) ≈ Var(N)/D² − 2·N·Cov(N,D)/D³ + N²·Var(D)/D⁴
 //
-// AVG(f) is Ratio(f, 1). The result is approximate (first-order Taylor),
-// unlike the exact SUM analysis.
-func Ratio(g *core.Params, rows *ops.Rows, num, den expr.Expr, opts Options) (*RatioResult, error) {
-	if !rows.LSch.Equal(g.Schema()) {
-		return nil, fmt.Errorf("estimator: sample lineage schema %v does not match GUS schema %v",
-			rows.LSch.Names(), g.Schema().Names())
-	}
-	nfs, _, err := sumF(rows, num, opts)
-	if err != nil {
-		return nil, err
-	}
-	dfs, _, err := sumF(rows, den, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ratioSrc(g, rowColumns(rows), nfs, dfs, opts)
-}
-
-// ratioSrc is the core behind Ratio and RatioBatch.
+// AVG(f) is the ratio of f to 1. The result is approximate (first-order
+// Taylor), unlike the exact SUM analysis.
 func ratioSrc(g *core.Params, lin [][]lineage.TupleID, nfs, dfs []float64, opts Options) (*RatioResult, error) {
 	nRes, err := fromSource(g, lin, nfs, opts)
 	if err != nil {

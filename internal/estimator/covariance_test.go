@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/sampling-algebra/gus/internal/batch"
 	"github.com/sampling-algebra/gus/internal/core"
 	"github.com/sampling-algebra/gus/internal/expr"
 	"github.com/sampling-algebra/gus/internal/lineage"
@@ -152,8 +153,18 @@ func TestCovarianceErrors(t *testing.T) {
 	}
 }
 
+// ratioRows feeds a row-major sample to RatioBatch.
+func ratioRows(t *testing.T, g *core.Params, s *ops.Rows, num, den expr.Expr, opts Options) (*RatioResult, error) {
+	t.Helper()
+	b, err := batch.FromRows(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return RatioBatch(g, b, num, den, opts)
+}
+
 func TestRatioAVGCalibration(t *testing.T) {
-	// AVG(f) = Ratio(f, 1): unbiased-ish and delta-variance calibrated.
+	// AVG(f) = ratio(f, 1): unbiased-ish and delta-variance calibrated.
 	pop, it, gr := population(t, 120, 20)
 	fExpr := expr.Col("v")
 	const p, k = 0.5, 10
@@ -175,7 +186,7 @@ func TestRatioAVGCalibration(t *testing.T) {
 		if s.Len() == 0 {
 			continue
 		}
-		r, err := Ratio(g, s, fExpr, expr.Int(1), Options{})
+		r, err := ratioRows(t, g, s, fExpr, expr.Int(1), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,19 +207,19 @@ func TestRatioErrors(t *testing.T) {
 	g := design(t, 0.5, 3, 6)
 	s := drawSample(t, it, gr, 0.5, 3, stats.NewRNG(5))
 	// Zero denominator.
-	if _, err := Ratio(g, s, expr.Col("v"), expr.Int(0), Options{}); err == nil {
+	if _, err := ratioRows(t, g, s, expr.Col("v"), expr.Int(0), Options{}); err == nil {
 		t.Error("zero denominator accepted")
 	}
 	// Schema mismatch.
 	other, _ := core.Bernoulli("x", 0.5)
-	if _, err := Ratio(other, s, expr.Col("v"), expr.Int(1), Options{}); err == nil {
+	if _, err := ratioRows(t, other, s, expr.Col("v"), expr.Int(1), Options{}); err == nil {
 		t.Error("schema mismatch accepted")
 	}
 	// Bad expressions.
-	if _, err := Ratio(g, s, expr.Col("zz"), expr.Int(1), Options{}); err == nil {
+	if _, err := ratioRows(t, g, s, expr.Col("zz"), expr.Int(1), Options{}); err == nil {
 		t.Error("bad numerator accepted")
 	}
-	if _, err := Ratio(g, s, expr.Col("v"), expr.Col("zz"), Options{}); err == nil {
+	if _, err := ratioRows(t, g, s, expr.Col("v"), expr.Col("zz"), Options{}); err == nil {
 		t.Error("bad denominator accepted")
 	}
 }
@@ -217,7 +228,7 @@ func TestRatioComponentsExposed(t *testing.T) {
 	_, it, gr := population(t, 40, 8)
 	g := design(t, 0.6, 4, 8)
 	s := drawSample(t, it, gr, 0.6, 4, stats.NewRNG(9))
-	r, err := Ratio(g, s, expr.Col("v"), expr.Int(1), Options{})
+	r, err := ratioRows(t, g, s, expr.Col("v"), expr.Int(1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@
 // projected onto S and sums the squared group totals. The engine has
 // usually done the grouping already, by the order it emits rows in. One
 // kernel (order.go) exploits that for every entry point — EstimateBatch,
-// RatioBatch, Estimate, Ratio, FromLineage one-shot; Accum.Add/Moments/
+// RatioBatch, Estimate, FromLineage one-shot; Accum.Add/Moments/
 // Finalize streaming. It makes one pass over each lineage slot's ID
 // column to see whether it is strictly increasing, non-decreasing or
 // neither, then takes each mask S the cheapest way its member slots allow:
@@ -196,11 +196,13 @@ func (r *Result) QuantileWith(q float64, method CIMethod) float64 {
 	}
 }
 
-// Estimate runs the SBox over executed sample rows. g must be the plan's
-// top GUS (from plan.Analyze); rows' lineage schema must match g's — which
+// Estimate runs the SBox over the reference executor's row-major sample —
+// the adapter tests, plan.EstimateCardinalities and the paper experiments
+// reach it through; queries use EstimateBatch. g must be the plan's top GUS
+// (from plan.Analyze); rows' lineage schema must match g's — which
 // plan.Execute guarantees for the same plan.
 func Estimate(g *core.Params, rows *ops.Rows, f expr.Expr, opts Options) (*Result, error) {
-	fs, _, err := sumF(rows, f, opts)
+	fs, _, err := ops.SumF(rows, f)
 	if err != nil {
 		return nil, err
 	}

@@ -13,10 +13,8 @@
 package estimator
 
 import (
-	"fmt"
 	"sync"
 
-	"github.com/sampling-algebra/gus/internal/expr"
 	"github.com/sampling-algebra/gus/internal/hashtab"
 	"github.com/sampling-algebra/gus/internal/lineage"
 	"github.com/sampling-algebra/gus/internal/ops"
@@ -28,50 +26,6 @@ func (o Options) partitionSize() int {
 		return o.PartitionSize
 	}
 	return ops.DefaultPartitionSize
-}
-
-// sumF evaluates the aggregate argument per row, serially (Workers = 0,
-// the legacy single-pass ops.SumF) or partition-parallel. The per-row
-// values are identical either way; only the association order of the
-// total differs, and the partitioned total is fixed for any worker count.
-func sumF(in *ops.Rows, f expr.Expr, opts Options) ([]float64, float64, error) {
-	if opts.Workers <= 0 {
-		return ops.SumF(in, f)
-	}
-	c, err := expr.Compile(f, in.Cols)
-	if err != nil {
-		return nil, 0, fmt.Errorf("estimator: aggregate: %w", err)
-	}
-	n := in.Len()
-	fs := make([]float64, n)
-	spans := ops.Partitions(n, opts.partitionSize())
-	partials := make([]float64, len(spans))
-	//gus:ctx-ok pure CPU shard over a materialized sample, below cancellation granularity
-	err = ops.ForEachPart(opts.Workers, len(spans), func(p int) error {
-		var acc float64
-		for i := spans[p].Lo; i < spans[p].Hi; i++ {
-			v, err := c(in.Data[i].Vals)
-			if err != nil {
-				return fmt.Errorf("estimator: aggregate: %w", err)
-			}
-			fv, err := v.AsFloat()
-			if err != nil {
-				return fmt.Errorf("estimator: aggregate: %w", err)
-			}
-			fs[i] = fv
-			acc += fv
-		}
-		partials[p] = acc
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	var total float64
-	for _, t := range partials {
-		total += t
-	}
-	return fs, total, nil
 }
 
 // totalOf sums per-row values with the same partition structure the other

@@ -67,8 +67,8 @@ type Const struct{ Value relation.Value }
 // ParamRef is a positional prepared-statement placeholder (`?` / `?N` in
 // SQL). Index is 0-based. A ParamRef never evaluates by itself: its value
 // is injected at execution time — as a broadcast constant through the
-// vector kernels' bind channel, or baked into a scalar closure by
-// CompileBind — without recompiling the surrounding expression.
+// vector kernels' bind channel — without recompiling the surrounding
+// expression.
 type ParamRef struct{ Index int }
 
 // Binary applies Op to two sub-expressions.
@@ -161,23 +161,12 @@ type Compiled func(row relation.Tuple) (relation.Value, error)
 
 // Compile resolves column references against schema and returns an
 // evaluator. Unknown columns are compile-time errors, and so are
-// placeholders — an expression containing ParamRefs must be compiled with
-// CompileBind (or have its parameters substituted via BindParams) first.
+// placeholders — an expression containing ParamRefs must have its
+// parameters substituted via BindParams first.
 func Compile(e Expr, schema *relation.Schema) (Compiled, error) {
-	return CompileBind(e, schema, nil)
-}
-
-// CompileBind is Compile with positional parameter values: each ParamRef
-// evaluates to params[Index], exactly as if the literal had been written in
-// its place. Out-of-range indices are compile-time errors.
-func CompileBind(e Expr, schema *relation.Schema, params []relation.Value) (Compiled, error) {
 	switch n := e.(type) {
 	case ParamRef:
-		if n.Index < 0 || n.Index >= len(params) {
-			return nil, fmt.Errorf("expr: parameter ?%d is unbound (%d bound)", n.Index+1, len(params))
-		}
-		v := params[n.Index]
-		return func(relation.Tuple) (relation.Value, error) { return v, nil }, nil
+		return nil, fmt.Errorf("expr: parameter ?%d is unbound (0 bound)", n.Index+1)
 	case ColRef:
 		idx, ok := schema.Index(n.Name)
 		if !ok {
@@ -188,7 +177,7 @@ func CompileBind(e Expr, schema *relation.Schema, params []relation.Value) (Comp
 		v := n.Value
 		return func(relation.Tuple) (relation.Value, error) { return v, nil }, nil
 	case Not:
-		x, err := CompileBind(n.X, schema, params)
+		x, err := Compile(n.X, schema)
 		if err != nil {
 			return nil, err
 		}
@@ -200,11 +189,11 @@ func CompileBind(e Expr, schema *relation.Schema, params []relation.Value) (Comp
 			return relation.Bool(!v.Truthy()), nil
 		}, nil
 	case Binary:
-		l, err := CompileBind(n.L, schema, params)
+		l, err := Compile(n.L, schema)
 		if err != nil {
 			return nil, err
 		}
-		r, err := CompileBind(n.R, schema, params)
+		r, err := Compile(n.R, schema)
 		if err != nil {
 			return nil, err
 		}

@@ -9,8 +9,8 @@ import (
 // Canonical join-key hashing. IntHash/FloatHash/StringHash are THE per-kind
 // hash encodings, mirroring IntKey/FloatKey/StringKey exactly: two values
 // whose Key() strings are equal always hash equal (the converse is resolved
-// by KeyEqual full compares), so hash-keyed joins match precisely the pairs
-// the string-keyed implementation matched.
+// by the FloatKeyEqual/IntFloatKeyEqual full compares), so hash-keyed joins
+// match precisely the pairs the string-keyed ops.HashJoin matches.
 //
 // The numeric canonicalization copies FloatKey's: an integral float with
 // |v| < 1e15 shares the integer key space (hash of its int64 value); every
@@ -71,34 +71,6 @@ func FloatKeyEqual(a, b float64) bool {
 func IntFloatKeyEqual(i int64, f float64) bool {
 	fi, ok := floatAsIntKey(f)
 	return ok && fi == i
-}
-
-// KeyHash returns the canonical hash of the value's join key.
-func (v Value) KeyHash() uint64 {
-	switch v.kind {
-	case KindInt:
-		return IntHash(v.i)
-	case KindFloat:
-		return FloatHash(v.f)
-	default:
-		return StringHash(v.s)
-	}
-}
-
-// KeyEqual reports Key() string equality without allocating either string.
-func (v Value) KeyEqual(w Value) bool {
-	switch {
-	case v.kind == KindString || w.kind == KindString:
-		return v.kind == w.kind && v.s == w.s
-	case v.kind == KindInt && w.kind == KindInt:
-		return v.i == w.i
-	case v.kind == KindInt:
-		return IntFloatKeyEqual(v.i, w.f)
-	case w.kind == KindInt:
-		return IntFloatKeyEqual(w.i, v.f)
-	default:
-		return FloatKeyEqual(v.f, w.f)
-	}
 }
 
 // StrDict is a per-relation string-column dictionary: the distinct values

@@ -190,8 +190,8 @@ func (r *Relation) baseRows() int {
 }
 
 // Row returns tuple i (shared storage; treat as read-only). Rows living
-// in a columnar base are boxed on access — the row-at-a-time engine path
-// is the legacy baseline; the columnar path reads the flat arrays.
+// in a columnar base are boxed on access — the serial reference executor
+// reads rows; the engine reads the flat arrays.
 func (r *Relation) Row(i int) Tuple {
 	nb := r.baseRows()
 	if i >= nb {

@@ -176,7 +176,7 @@ func (db *DB) progressiveStream(ctx context.Context, o queryOptions, prepare fun
 // the lock for its run, exactly like Query.)
 func (db *DB) runProgressive(ctx context.Context, st *Stmt, vals []relation.Value, o queryOptions, ch chan<- Update) error {
 	o.args, o.prep = vals, st.prep
-	o.sm, o.sql = st.sm, st.sql
+	o.sm, o.sql, o.shape = st.sm, st.sql, st.shape
 	explain := st.tmpl.Explain()
 	if o.trace == nil && explain {
 		o.trace = &obs.Trace{}
@@ -258,7 +258,7 @@ func (db *DB) runProgressive(ctx context.Context, st *Stmt, vals []relation.Valu
 			// The stream ends with this update: stamp the annotated plan
 			// tree now so a caller-held trace (and EXPLAIN ANALYZE output)
 			// is complete when the channel closes.
-			finishTrace(o.trace, planned.Root, o.sql, sqlparse.Normalize(o.sql))
+			finishTrace(o.trace, planned.Root, o.sql, o.shape)
 			if explain {
 				out.ExplainText = o.trace.Format()
 			}
@@ -311,15 +311,9 @@ func (db *DB) progressiveFallback(ctx context.Context, planned *sqlparse.Planned
 	if err != nil {
 		return err
 	}
-	scanned := 0
-	plan.Walk(planned.Root, func(n plan.Node) {
-		if s, ok := n.(*plan.Scan); ok {
-			scanned += s.Rel.Len()
-		}
-	})
 	u := Update{
 		FractionScanned: 1,
-		RowsScanned:     scanned,
+		RowsScanned:     res.scannedRows,
 		SampleRows:      res.SampleRows,
 		Final:           true,
 		Done:            true,

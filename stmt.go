@@ -47,10 +47,11 @@ import (
 // bindings re-derive the plan's GUS parameters on every execution, so the
 // estimator's variance model always prices the rates actually bound.
 type Stmt struct {
-	db   *DB
-	sql  string
-	tmpl *sqlparse.Template
-	prep *engine.Prepared
+	db    *DB
+	sql   string
+	shape string // sqlparse.Normalize(sql): plan-cache key, metric and trace shape
+	tmpl  *sqlparse.Template
+	prep  *engine.Prepared
 	// sm is this statement shape's pre-resolved metric slots, bound once at
 	// Prepare so per-execution metric updates are pure atomics.
 	sm *shapeMetrics
@@ -62,6 +63,11 @@ type Stmt struct {
 // never invalidated: it keeps executing against the live table data
 // (inserts are visible to later executions).
 func (db *DB) Prepare(sql string) (*Stmt, error) {
+	return db.prepare(sql, sqlparse.Normalize(sql))
+}
+
+// prepare is Prepare given the statement's already-normalized text.
+func (db *DB) prepare(sql, shape string) (*Stmt, error) {
 	q, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -73,11 +79,12 @@ func (db *DB) Prepare(sql string) (*Stmt, error) {
 		return nil, err
 	}
 	return &Stmt{
-		db:   db,
-		sql:  sql,
-		tmpl: tmpl,
-		prep: engine.NewPrepared(),
-		sm:   db.metrics.shapeSlot(sqlparse.Normalize(sql)),
+		db:    db,
+		sql:   sql,
+		shape: shape,
+		tmpl:  tmpl,
+		prep:  engine.NewPrepared(),
+		sm:    db.metrics.shapeSlot(shape),
 	}, nil
 }
 
@@ -116,7 +123,7 @@ func (s *Stmt) Exact(ctx context.Context, args ...any) (*Result, error) {
 // for the duration, like db.Query.
 func (s *Stmt) exec(ctx context.Context, vals []relation.Value, o queryOptions, exact bool) (*Result, error) {
 	o.args, o.prep = vals, s.prep
-	o.sm, o.sql = s.sm, s.sql
+	o.sm, o.sql, o.shape = s.sm, s.sql, s.shape
 	if o.trace == nil && s.tmpl.Explain() {
 		// EXPLAIN ANALYZE through a directly-Prepared Stmt: no trace was
 		// attached upstream, so allocate one here for the rendered output.
@@ -275,7 +282,7 @@ func (db *DB) prepareCached(sql string) (*Stmt, bool, error) {
 	if st := db.plans.get(key, gen); st != nil {
 		return st, true, nil
 	}
-	st, err := db.Prepare(sql)
+	st, err := db.prepare(sql, key)
 	if err != nil {
 		return nil, false, err
 	}

@@ -67,6 +67,9 @@ func TestTracingBitIdentical(t *testing.T) {
 		if len(tr.Spans) == 0 {
 			t.Fatalf("%s: trace recorded no spans", tc.name)
 		}
+		if tr.SQL != tc.sql || tr.Shape != sqlparse.Normalize(tc.sql) {
+			t.Fatalf("%s: trace identity (%q, %q)", tc.name, tr.SQL, tr.Shape)
+		}
 		sameValues(t, tc.name, on, off)
 	}
 }
@@ -99,6 +102,9 @@ func TestTracingBitIdenticalProgressive(t *testing.T) {
 	}
 	if len(tr.Waves) == 0 {
 		t.Fatal("progressive trace recorded no wave points")
+	}
+	if tr.Shape != sqlparse.Normalize(obsPointSQL) {
+		t.Fatalf("progressive trace shape %q", tr.Shape)
 	}
 	lastWave := tr.Waves[len(tr.Waves)-1]
 	if lastWave.FractionScanned != 1 || lastWave.Estimate != on.Estimate {
