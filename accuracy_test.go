@@ -3,6 +3,8 @@ package gus
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +12,82 @@ import (
 
 	"github.com/sampling-algebra/gus/internal/sqlparse"
 )
+
+// TestSkewRateCalibration sweeps the empirical coverage of the claimed 95%
+// CI for a sampled SUM over data skew (uniform, lognormal σ=1, lognormal
+// σ=3; 30 000 rows) × Bernoulli rate {1, 5, 20}%, 200 seeded trials per
+// cell. Every trial goes through ObserveAccuracy — the shadow auditor's
+// path — and coverage with its Wilson interval is read back from
+// AccuracySnapshot. Uniform and moderate cells must keep 0.95 inside the
+// Wilson interval. Heavy-tailed cells undercover (120/138/144 of 200 at
+// seed 42): each must be nominal or modally graded C/D, so the answer at
+// least flags what the interval gets wrong.
+func TestSkewRateCalibration(t *testing.T) {
+	const rows, trials, seed, nominal = 30000, 200, 42, 0.95
+	for _, sk := range []struct {
+		name  string
+		sigma float64
+	}{{"uniform", 0}, {"moderate", 1}, {"heavy", 3}} {
+		db := Open()
+		tb, err := db.CreateTable("cal", Column{"v", Float})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed + int64(sk.sigma*1000)))
+		for i := 0; i < rows; i++ {
+			v := 1 + rng.Float64()
+			if sk.sigma > 0 {
+				v = math.Exp(sk.sigma * rng.NormFloat64())
+			}
+			if err := tb.Insert(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		exact, err := db.Exact(`SELECT SUM(v) FROM cal`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := exact.Values[0].Estimate
+		for _, rate := range []int{1, 5, 20} {
+			sql := fmt.Sprintf(`SELECT SUM(v) FROM cal TABLESAMPLE BERNOULLI(%d)`, rate)
+			grades := map[string]int{}
+			for i := 1; i <= trials; i++ {
+				res, err := db.Query(sql, WithSeed(uint64(i)), WithTrace(&Trace{}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				v := res.Values[0]
+				grades[v.Reliability]++
+				db.ObserveAccuracy(sql, v.Estimate, v.CILow, v.CIHigh, truth, v.Reliability)
+			}
+			// The modal grade, the worse letter on ties.
+			modal, n := "", 0
+			for _, g := range []string{"A", "B", "C", "D"} {
+				if grades[g] > 0 && grades[g] >= n {
+					modal, n = g, grades[g]
+				}
+			}
+			var s ShapeAccuracy
+			for _, s = range db.AccuracySnapshot().Shapes {
+				if s.Shape == sql {
+					break
+				}
+			}
+			t.Logf("%-8s rate %2d%%  coverage %3d/%d  Wilson [%.3f, %.3f]  grade %s",
+				sk.name, rate, s.Covered, trials, s.CoverageLow, s.CoverageHigh, modal)
+			covers := s.CoverageLow <= nominal && nominal <= s.CoverageHigh
+			switch {
+			case s.Shape != sql || s.Observations != trials:
+				t.Fatalf("%s %d%%: snapshot has no %d-trial entry for %q", sk.name, rate, trials, sql)
+			case sk.name != "heavy" && !covers:
+				t.Errorf("%s %d%%: Wilson [%.3f, %.3f] excludes %.2f", sk.name, rate, s.CoverageLow, s.CoverageHigh, nominal)
+			case !covers && modal != "C" && modal != "D":
+				t.Errorf("%s %d%%: miscalibrated (Wilson [%.3f, %.3f]) but modally graded %s, want C or D",
+					sk.name, rate, s.CoverageLow, s.CoverageHigh, modal)
+			}
+		}
+	}
+}
 
 // TestAuditorEndToEnd drives the shadow auditor deterministically against
 // a real DB: a hot sampled shape is replayed many times and the recorded

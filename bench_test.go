@@ -1,7 +1,7 @@
 package gus
 
 // Benchmarks, one per paper artifact plus component-level microbenches.
-// Mapping (see DESIGN.md's per-experiment index):
+// Mapping:
 //
 //	Figure 1  → BenchmarkFigure1Translation
 //	Figure 2  → BenchmarkFigure2Query1Rewrite, BenchmarkQuery1EndToEnd
@@ -10,7 +10,8 @@ package gus
 //	§6.1 runtime claim → BenchmarkRewriteNRelations/*
 //	§6.3 moments       → BenchmarkMoments/*, BenchmarkUnbiasedY/*
 //	§7 sub-sampling    → BenchmarkVarianceEstimation/*
-//	E6/E7 accuracy     → driven by cmd/gusbench (statistical, not timed)
+//	accuracy           → not timed: TestEstimateUnbiasedAndVarianceCalibrated,
+//	                     TestCICoverage (internal/estimator), TestSkewRateCalibration
 
 import (
 	"context"
@@ -340,8 +341,9 @@ WHERE l_quantity < 24.0`
 }
 
 // BenchmarkPrepared measures compile-once/execute-many against one-shot
-// execution (BENCH_prepared.json), on a point query and a TPC-H Q1-style
-// scan. Three modes each:
+// execution, on a point query and a TPC-H Q1-style scan
+// (TestPreparedAllocsBelowOneShot asserts the allocation ordering). Three
+// modes each:
 //
 //   - oneshot  — db.Query with the plan cache disabled: parse, plan and
 //     kernel compilation every iteration (the pre-cache behavior);
@@ -356,17 +358,7 @@ WHERE l_quantity < 24.0`
 // scale where that front end is a visible fraction of the call (a true
 // point lookup); the Q1 shape shows the same saving diluted by a scan.
 func BenchmarkPrepared(b *testing.B) {
-	db := Open()
-	if err := db.AttachTPCHConfig(tpch.Config{Orders: 5000, Customers: 500, Parts: 125, Seed: 3}); err != nil {
-		b.Fatal(err)
-	}
-	const pointPrep = `SELECT COUNT(*), SUM(o_totalprice) FROM orders TABLESAMPLE (50 PERCENT) WHERE o_custkey = ?`
-	const pointLit = `SELECT COUNT(*), SUM(o_totalprice) FROM orders TABLESAMPLE (50 PERCENT) WHERE o_custkey = 77`
-	const q1Prep = `SELECT SUM(l_extendedprice*(1.0-l_discount)) AS revenue, SUM(l_quantity) AS qty, COUNT(*) AS n
-FROM lineitem TABLESAMPLE (? PERCENT) WHERE l_quantity < ?`
-	const q1Lit = `SELECT SUM(l_extendedprice*(1.0-l_discount)) AS revenue, SUM(l_quantity) AS qty, COUNT(*) AS n
-FROM lineitem TABLESAMPLE (25 PERCENT) WHERE l_quantity < 24.0`
-
+	db := prepBenchDB(b)
 	oneshot := func(sql string) func(*testing.B) {
 		return func(b *testing.B) {
 			db.SetPlanCacheCap(0)
@@ -406,12 +398,12 @@ FROM lineitem TABLESAMPLE (25 PERCENT) WHERE l_quantity < 24.0`
 			}
 		}
 	}
-	b.Run("point/oneshot", oneshot(pointLit))
-	b.Run("point/cached", cached(pointLit))
-	b.Run("point/prepared", prepared(pointPrep, 77))
-	b.Run("q1/oneshot", oneshot(q1Lit))
-	b.Run("q1/cached", cached(q1Lit))
-	b.Run("q1/prepared", prepared(q1Prep, 25, 24.0))
+	b.Run("point/oneshot", oneshot(prepPointLit))
+	b.Run("point/cached", cached(prepPointLit))
+	b.Run("point/prepared", prepared(prepPointSQL, 77))
+	b.Run("q1/oneshot", oneshot(prepQ1Lit))
+	b.Run("q1/cached", cached(prepQ1Lit))
+	b.Run("q1/prepared", prepared(prepQ1SQL, 25, 24.0))
 }
 
 // BenchmarkEngineExecute isolates plan execution (no estimation) serial
@@ -569,8 +561,8 @@ func BenchmarkGUSAlgebra(b *testing.B) {
 //     update is bit-identical to Query);
 //   - one-shot      — plain Query, the baseline all of it converges to.
 //
-// Recorded in BENCH_online.json: the headline is to-1pct-ci wall-clock
-// versus one-shot, i.e. what an accuracy budget saves over a full scan.
+// The headline is to-1pct-ci wall-clock versus one-shot, i.e. what an
+// accuracy budget saves over a full scan.
 func BenchmarkProgressive(b *testing.B) {
 	db := Open()
 	if err := db.AttachTPCHConfig(tpch.Config{Orders: 30000, Customers: 3000, Parts: 750, Seed: 31}); err != nil {

@@ -51,8 +51,9 @@ func main() {
 	// 3. A/B: the same query with synopsis-serving off runs the full-scan
 	// plan. Both are unbiased Bernoulli(1%) estimates of the same total —
 	// the synopsis trades nothing for its speedup. (Latencies here are
-	// single-shot and small-scale; BENCH_synopsis.json holds the measured
-	// contract, ≥10× at p=1% on the ~1M-row set.)
+	// single-shot and small-scale; what is guaranteed is the rows read:
+	// the synopsis's ~q·n against the base table's n, which
+	// TestSynopsisScanReduction enforces.)
 	run := func(opts ...gus.Option) (float64, float64, time.Duration) {
 		t0 := time.Now()
 		r, err := db.Query(sql, opts...)

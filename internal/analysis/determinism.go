@@ -46,7 +46,7 @@ func randWhitelisted(pass *Pass) bool {
 
 // rangeScoped reports whether the map-iteration rule applies: everywhere
 // in the module except examples (cmd is included — gusserve renders
-// user-visible JSON; gusbench writes recorded artifacts).
+// user-visible JSON).
 func rangeScoped(pass *Pass) bool {
 	return !pass.PkgHasSegment("examples")
 }

@@ -275,7 +275,7 @@ func TestCompactWithNullAbsorbs(t *testing.T) {
 // TestSemiringMonoidLaws property-checks the Theorem 2 structure that holds
 // exactly: both operations are commutative and associative with the stated
 // neutral elements. (See TestDistributivityCounterexample for the law that
-// does NOT hold; DESIGN.md discusses the discrepancy.)
+// does NOT hold.)
 func TestSemiringMonoidLaws(t *testing.T) {
 	rng := stats.NewRNG(2024)
 	names := []string{"x", "y"}
@@ -321,7 +321,7 @@ func TestDistributivityCounterexample(t *testing.T) {
 	c2, _ := Compact(g, h2)
 	right, _ := Union(c1, c2) // a = 0.5+0.5−0.25 = 0.75
 	if left.ApproxEqual(right, 1e-9) {
-		t.Fatal("distributivity unexpectedly holds; DESIGN.md note is stale")
+		t.Fatal("distributivity unexpectedly holds for this counterexample")
 	}
 	approx(t, "left a", left.A(), 0.5, 1e-12)
 	approx(t, "right a", right.A(), 0.75, 1e-12)

@@ -12,9 +12,9 @@ import (
 //	c_S = Σ_{T ⊆ S} (−1)^{|S\T|} · b_T        (with b_{1:n} = a)
 //
 // (The arXiv preprint prints the summation range as all of P(n); the form
-// above is the Möbius inversion that the theorem's derivation requires —
-// see DESIGN.md "Mathematical errata" — and it reproduces the classical
-// Bernoulli and WOR variance formulas exactly.)
+// above is the Möbius inversion that the theorem's derivation requires,
+// and it reproduces the classical Bernoulli and WOR variance formulas
+// exactly.)
 //
 // Computed with an in-place subset Möbius transform in O(n·2ⁿ).
 func (p *Params) CS() []float64 {

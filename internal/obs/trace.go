@@ -322,32 +322,3 @@ func (t *Trace) Format() string {
 func fmtDur(d time.Duration) string {
 	return d.Round(time.Microsecond).String()
 }
-
-// StageTotals sums recorded span durations by stage name (for gusbench's
-// per-stage attribution). Nil trace → nil.
-func (t *Trace) StageTotals() map[string]time.Duration {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.Spans) == 0 {
-		return nil
-	}
-	m := make(map[string]time.Duration, len(t.Spans))
-	for _, s := range t.Spans {
-		m[s.Name] += s.Dur
-	}
-	return m
-}
-
-// StageNames returns the distinct stage names of StageTotals in sorted
-// order, a convenience for deterministic report rendering.
-func StageNames(totals map[string]time.Duration) []string {
-	names := make([]string, 0, len(totals))
-	for k := range totals {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -30,9 +30,6 @@ func TestNilTraceSafe(t *testing.T) {
 	if b, err := tr.JSON(); err != nil || (b != nil && string(b) != "null") {
 		t.Fatalf("nil JSON = %s, %v", b, err)
 	}
-	if got := tr.StageTotals(); got != nil {
-		t.Fatalf("nil StageTotals = %v", got)
-	}
 }
 
 func TestTraceSpansAndFormat(t *testing.T) {
@@ -63,13 +60,6 @@ func TestTraceSpansAndFormat(t *testing.T) {
 	}
 	if spans := tr.NodeSpans(1); len(spans) != 1 || spans[0].Name != "sample" {
 		t.Fatalf("NodeSpans(1) = %+v", spans)
-	}
-	totals := tr.StageTotals()
-	if len(totals) != 2 {
-		t.Fatalf("StageTotals = %v", totals)
-	}
-	if names := StageNames(totals); len(names) != 2 || names[0] > names[1] {
-		t.Fatalf("StageNames = %v", names)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package sampling implements concrete, executable sampling operators and
 // their translations into GUS quasi-operators (§4.2, Figure 1): Bernoulli,
-// fixed-size without-replacement (WOR), SYSTEM/block sampling, AQUA-style
-// foreign-key chained sampling, and the seeded lineage-hash Bernoulli used
-// for §7 sub-sampling and for multi-dimensional Bernoulli designs.
+// fixed-size without-replacement (WOR), SYSTEM/block sampling, and the
+// seeded lineage-hash Bernoulli used for §7 sub-sampling and for
+// multi-dimensional Bernoulli designs.
 //
 // Each Method both draws samples (Apply) and reports its GUS parameters
 // (Params); the plan rewriter relies on the two being consistent.
@@ -266,21 +266,6 @@ func NewLineageHash(seed uint64, probs map[string]float64) (*LineageHash, error)
 		cp[r] = p
 	}
 	return &LineageHash{Seed: seed, rels: rels, probs: cp}, nil
-}
-
-// NewChained builds AQUA-style foreign-key chained sampling: the fact
-// relation is Bernoulli(p)-sampled (repeatably, by lineage hash) and every
-// dimension relation is kept in full. Its GUS over the joint schema is the
-// composition of Bernoulli(p) on the fact with identities on dimensions.
-func NewChained(seed uint64, fact string, p float64, dims ...string) (*LineageHash, error) {
-	probs := map[string]float64{fact: p}
-	for _, d := range dims {
-		if d == fact {
-			return nil, fmt.Errorf("sampling: chained: dimension %q duplicates fact", d)
-		}
-		probs[d] = 1
-	}
-	return NewLineageHash(seed, probs)
 }
 
 // Name implements Method.

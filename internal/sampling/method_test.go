@@ -397,32 +397,6 @@ func TestLineageHashValidation(t *testing.T) {
 	}
 }
 
-func TestChained(t *testing.T) {
-	m, err := NewChained(5, "fact", 0.1, "dim1", "dim2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := m.Params(noCard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p.A()-0.1) > 1e-12 {
-		t.Errorf("chained a = %v", p.A())
-	}
-	s := p.Schema()
-	// Agreement only on a dimension ⇒ independent fact tuples ⇒ p².
-	if got := p.B(s.MustSetOf("dim1")); math.Abs(got-0.01) > 1e-12 {
-		t.Errorf("b_dim = %v, want p²", got)
-	}
-	// Agreement on the fact ⇒ same fact tuple ⇒ p.
-	if got := p.B(s.MustSetOf("fact")); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("b_fact = %v, want p", got)
-	}
-	if _, err := NewChained(5, "f", 0.1, "f"); err == nil {
-		t.Error("dimension duplicating fact accepted")
-	}
-}
-
 func TestMonteCarloGUSParameters(t *testing.T) {
 	// Empirically estimate a and b_T for each single-relation method and
 	// compare against its claimed GUS translation — the operational

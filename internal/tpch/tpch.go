@@ -2,7 +2,7 @@
 // customer / part tables the paper's running examples query, with the same
 // schema shape, key structure and foreign-key fan-out.
 //
-// Substitution note (recorded in DESIGN.md): the paper evaluates against
+// Substitution note: the paper evaluates against
 // TPC-H data; the official dbgen tool is unavailable offline, so this
 // package synthesizes statistically equivalent tables — FK multiplicities
 // (1–7 lineitems per order), uniform keys, and price/discount/tax columns

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/sampling-algebra/gus/internal/tpch"
 )
 
 // sameValues asserts every estimator field of two results matches exactly
@@ -47,6 +49,75 @@ func sameValues(t *testing.T, tag string, got, want *Result) {
 		}
 		for j := range got.Groups[i].Values {
 			cmp(fmt.Sprintf("%s group[%d].value[%d]", tag, i, j), got.Groups[i].Values[j], want.Groups[i].Values[j])
+		}
+	}
+}
+
+// The two BenchmarkPrepared shapes, each as a `?` template and as the
+// literal SQL of the same bindings: a point query, where the SQL front end
+// is a visible fraction of the call, and a TPC-H Q1-style scan.
+const (
+	prepPointSQL = `SELECT COUNT(*), SUM(o_totalprice) FROM orders TABLESAMPLE (50 PERCENT) WHERE o_custkey = ?`
+	prepPointLit = `SELECT COUNT(*), SUM(o_totalprice) FROM orders TABLESAMPLE (50 PERCENT) WHERE o_custkey = 77`
+	prepQ1SQL    = `SELECT SUM(l_extendedprice*(1.0-l_discount)) AS revenue, SUM(l_quantity) AS qty, COUNT(*) AS n
+FROM lineitem TABLESAMPLE (? PERCENT) WHERE l_quantity < ?`
+	prepQ1Lit = `SELECT SUM(l_extendedprice*(1.0-l_discount)) AS revenue, SUM(l_quantity) AS qty, COUNT(*) AS n
+FROM lineitem TABLESAMPLE (25 PERCENT) WHERE l_quantity < 24.0`
+)
+
+func prepBenchDB(tb testing.TB) *DB {
+	tb.Helper()
+	db := Open()
+	if err := db.AttachTPCHConfig(tpch.Config{Orders: 5000, Customers: 500, Parts: 125, Seed: 3}); err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
+// TestPreparedAllocsBelowOneShot is what compile-once buys, as allocation
+// counts: on both BenchmarkPrepared shapes, a prepared Stmt.Query and a
+// plan-cache-hit db.Query must each allocate less than a one-shot db.Query
+// with the plan cache off, which re-runs the SQL front end every call
+// (go1.24: point 305 one-shot / 255 cached / 248 prepared, Q1 394 / 317 /
+// 294). Skipped under the race detector, which drops pool Puts at random.
+func TestPreparedAllocsBelowOneShot(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector drops random sync.Pool puts; alloc counts are not stable")
+	}
+	db := prepBenchDB(t)
+	ctx := context.Background()
+	allocs := func(run func() (*Result, error)) float64 {
+		call := func() {
+			if _, err := run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call() // warm the plan cache, kernels and pools
+		return testing.AllocsPerRun(10, call)
+	}
+	for _, sh := range []struct {
+		name, prep, lit string
+		args            []any
+	}{
+		{"point", prepPointSQL, prepPointLit, []any{77}},
+		{"q1", prepQ1SQL, prepQ1Lit, []any{25, 24.0}},
+	} {
+		st, err := db.Prepare(sh.prep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		literal := func() (*Result, error) { return db.Query(sh.lit, WithSeed(7), WithWorkers(1)) }
+		db.SetPlanCacheCap(0)
+		oneshot := allocs(literal)
+		db.SetPlanCacheCap(DefaultPlanCacheSize)
+		cached := allocs(literal)
+		prepared := allocs(func() (*Result, error) {
+			return st.Query(ctx, append(append([]any{}, sh.args...), WithSeed(7), WithWorkers(1))...)
+		})
+		t.Logf("%s: %.0f one-shot / %.0f cached / %.0f prepared allocs per query", sh.name, oneshot, cached, prepared)
+		if prepared >= oneshot || cached >= oneshot {
+			t.Errorf("%s: prepared (%.0f) and cached (%.0f) must each allocate less than one-shot (%.0f)",
+				sh.name, prepared, cached, oneshot)
 		}
 	}
 }

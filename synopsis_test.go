@@ -81,6 +81,38 @@ func TestSynopsisCoordinatedBitIdentity(t *testing.T) {
 	}
 }
 
+// TestSynopsisScanReduction: serving BERNOULLI(1) from a Bernoulli(2%)
+// synopsis reads exactly the synopsis's rows (≈ q·n) where the full-scan
+// plan reads all n — the scan reduction as a row count, not a timing.
+func TestSynopsisScanReduction(t *testing.T) {
+	const n, q = 50000, 0.02
+	db, _ := synTestDB(t, n)
+	if err := db.CreateSynopsis(SynopsisSpec{Name: "syn", Table: "t", Rate: q, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	synRows := db.Synopses()[0].Rows
+	if sigma := math.Sqrt(n * q * (1 - q)); math.Abs(float64(synRows)-n*q) > 5*sigma {
+		t.Fatalf("synopsis holds %d rows, want q·n = %.0f within 5σ = %.0f", synRows, n*q, 5*sigma)
+	}
+	const sql = `SELECT SUM(w) FROM t TABLESAMPLE BERNOULLI(1)`
+	for _, leg := range []struct {
+		name string
+		opts []Option
+		want int
+	}{
+		{"synopsis-served", []Option{WithSeed(1)}, synRows},
+		{"full scan", []Option{WithSeed(1), WithSynopses(false)}, n},
+	} {
+		before := metricValue(db, "gus_rows_scanned_total", "")
+		if _, err := db.Query(sql, leg.opts...); err != nil {
+			t.Fatal(err)
+		}
+		if got := metricValue(db, "gus_rows_scanned_total", "") - before; got != float64(leg.want) {
+			t.Fatalf("%s: gus_rows_scanned_total advanced by %v, want %d", leg.name, got, leg.want)
+		}
+	}
+}
+
 // TestSynopsisFreshResidualUnbiased: a plain BERNOULLI(p) query over a
 // uniform synopsis draws a FRESH residual — different seeds, different
 // realizations — and its estimates must stay centered on the truth.
