@@ -27,25 +27,17 @@ package gus
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/sampling-algebra/gus/internal/batch"
 	"github.com/sampling-algebra/gus/internal/core"
-	"github.com/sampling-algebra/gus/internal/engine"
 	"github.com/sampling-algebra/gus/internal/estimator"
-	"github.com/sampling-algebra/gus/internal/expr"
-	"github.com/sampling-algebra/gus/internal/hashtab"
 	"github.com/sampling-algebra/gus/internal/lineage"
 	"github.com/sampling-algebra/gus/internal/obs"
-	"github.com/sampling-algebra/gus/internal/plan"
 	"github.com/sampling-algebra/gus/internal/relation"
-	"github.com/sampling-algebra/gus/internal/sqlparse"
-	"github.com/sampling-algebra/gus/internal/stats"
 	"github.com/sampling-algebra/gus/internal/synopsis"
 	"github.com/sampling-algebra/gus/internal/tpch"
 )
@@ -384,22 +376,22 @@ type queryOptions struct {
 	maxFraction float64
 	waveRows    int
 
-	// Prepared-statement execution state (set by Stmt, never by Options):
-	// the bound parameter values and the statement's compile-once kernel
-	// snapshot.
+	// The entry point's bind rewrite (set by Exact and Robustness, never by
+	// Options): strip all sampling, or declare every base table a
+	// Bernoulli(survival) sample. Neither selects synopsis serving.
+	exact    bool
+	survival float64
+
+	// The statement being executed — its kernel snapshot, metric slots,
+	// text and shape — and its bound parameter values; set by resolve,
+	// never by Options.
+	st   *Stmt
 	args []relation.Value
-	prep *engine.Prepared
 
 	// trace receives per-stage spans when the caller attached one with
 	// WithTrace (or the statement is EXPLAIN ANALYZE); nil on the common
 	// path, where every span site reduces to one pointer test.
 	trace *obs.Trace
-	// sm holds the statement's pre-resolved per-shape metric slots, sql its
-	// original text and shape its normalized text; all set by Stmt, never
-	// by Options.
-	sm    *shapeMetrics
-	sql   string
-	shape string
 }
 
 // Option customizes Query.
@@ -486,6 +478,14 @@ func (db *DB) buildOptions(opts []Option) queryOptions {
 	return o
 }
 
+// ciMethod is the estimator's interval construction for o.interval.
+func (o *queryOptions) ciMethod() estimator.CIMethod {
+	if o.interval == ChebyshevInterval {
+		return estimator.Chebyshev
+	}
+	return estimator.Normal
+}
+
 // Value is one SELECT-list result.
 type Value struct {
 	// Name is the output column name (alias, or a generated one).
@@ -553,11 +553,8 @@ type Result struct {
 	ExplainText string
 
 	// scannedRows is the total base-table input cardinality, recorded for
-	// the metrics layer without re-walking the plan.
+	// the auditor's scan budget without re-walking the plan.
 	scannedRows int
-	// skippedParts is how many input partitions zone maps let the engine
-	// skip, recorded for the metrics layer.
-	skippedParts int64
 }
 
 // Query parses, plans, executes and estimates a SQL aggregate query. It
@@ -579,28 +576,9 @@ func (db *DB) Query(sql string, opts ...Option) (*Result, error) {
 func (db *DB) QueryContext(ctx context.Context, sql string, opts ...Option) (*Result, error) {
 	o := db.buildOptions(opts)
 	if path, ok := parseAttachSegment(sql); ok {
-		o.sql = sql
-		return db.execAttachSegment(ctx, path, o)
+		return db.execAttachSegment(sql, path, o)
 	}
-	return db.execCached(ctx, sql, o, false)
-}
-
-// execCached runs sql through the plan cache, sampled or — with exact —
-// with all sampling stripped.
-func (db *DB) execCached(ctx context.Context, sql string, o queryOptions, exact bool) (*Result, error) {
-	ppStart := time.Now()
-	st, hit, err := db.prepareCached(sql)
-	if err != nil {
-		db.metrics.queriesErr.Inc()
-		return nil, err
-	}
-	if o.trace == nil && st.tmpl.Explain() {
-		o.trace = &obs.Trace{}
-	}
-	if o.trace != nil {
-		recordPlanSpan(o.trace, time.Since(ppStart), hit)
-	}
-	return st.exec(ctx, nil, o, exact)
+	return db.query(ctx, stmtRef{sql: sql}, o)
 }
 
 // Exact runs the query with all sampling stripped: the true answer, for
@@ -612,7 +590,9 @@ func (db *DB) Exact(sql string, opts ...Option) (*Result, error) {
 // ExactContext is Exact with cooperative cancellation (see QueryContext).
 // It shares the plan cache with Query.
 func (db *DB) ExactContext(ctx context.Context, sql string, opts ...Option) (*Result, error) {
-	return db.execCached(ctx, sql, db.buildOptions(opts), true)
+	o := db.buildOptions(opts)
+	o.exact = true
+	return db.query(ctx, stmtRef{sql: sql}, o)
 }
 
 // Robustness implements the §8 "database as a sample" analysis: the query
@@ -626,360 +606,8 @@ func (db *DB) Robustness(sql string, survival float64, opts ...Option) (*Result,
 		return nil, fmt.Errorf("gus: survival rate %v outside (0,1]", survival)
 	}
 	o := db.buildOptions(opts)
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	for _, tr := range q.Tables {
-		if tr.Kind != sqlparse.SampleNone {
-			return nil, fmt.Errorf("gus: robustness analysis requires a query without TABLESAMPLE (table %q has one)", tr.Name)
-		}
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	planned, err := sqlparse.PlanQuery(q, catalog{db}, sqlparse.PlannerOptions{SystemBlockSize: o.systemBlockSize, Seed: o.seed})
-	if err != nil {
-		return nil, err
-	}
-	var wrapErr error
-	planned.Root = plan.WrapScans(planned.Root, func(s *plan.Scan) plan.Node {
-		alias := s.Rel.Name()
-		if s.Alias != "" {
-			alias = s.Alias
-		}
-		g, err := core.Bernoulli(alias, survival)
-		if err != nil && wrapErr == nil {
-			wrapErr = err
-		}
-		return &plan.GUS{Input: s, G: g}
-	})
-	if wrapErr != nil {
-		return nil, wrapErr
-	}
-	return db.run(context.Background(), planned, o)
-}
-
-// run executes a planned query on the engine and estimates every SELECT
-// item. Must be called with db.mu read-held.
-//
-// run itself is the observability shim around runInner: in-flight gauge,
-// latency/rows/fraction metrics, outcome counters, and — when a trace is
-// attached — the final annotated plan tree. Every update on the success
-// path is an atomic on a pre-resolved slot, so the disabled-trace path
-// stays allocation-free.
-func (db *DB) run(ctx context.Context, planned *sqlparse.Planned, o queryOptions) (*Result, error) {
-	m := db.metrics
-	m.inFlight.Add(1)
-	start := time.Now()
-	res, err := db.runInner(ctx, planned, o)
-	secs := time.Since(start).Seconds()
-	m.inFlight.Add(-1)
-	m.querySecs.Observe(secs)
-	if o.sm != nil {
-		o.sm.seconds.Observe(secs)
-	}
-	if err != nil {
-		m.queriesErr.Inc()
-		if o.sm != nil {
-			o.sm.errors.Inc()
-		}
-		return nil, err
-	}
-	m.queriesOK.Inc()
-	if o.sm != nil {
-		o.sm.queries.Inc()
-	}
-	m.rowsScanned.Add(uint64(res.scannedRows))
-	m.sampleRows.Add(uint64(res.SampleRows))
-	m.partsSkipped.Add(uint64(res.skippedParts))
-	if res.scannedRows > 0 {
-		m.sampleFrac.Observe(float64(res.SampleRows) / float64(res.scannedRows))
-	}
-	if o.trace != nil {
-		finishTrace(o.trace, planned.Root, o.sql, o.shape)
-	}
-	return res, nil
-}
-
-func (db *DB) runInner(ctx context.Context, planned *sqlparse.Planned, o queryOptions) (*Result, error) {
-	var compact int
-	if o.trace != nil {
-		compact = o.trace.Begin("gus-compact", "", -1)
-	}
-	analysis, err := plan.Analyze(planned.Root)
-	if err != nil {
-		return nil, err
-	}
-	if o.trace != nil {
-		o.trace.End(compact, -1, -1)
-		steps := len(analysis.Steps)
-		o.trace.SetSpan(compact, func(s *obs.Span) {
-			s.Label = fmt.Sprintf("%d rewrite steps", steps)
-		})
-	}
-	eng := engine.New(engine.Config{Workers: o.workers, Context: ctx, Params: o.args, Prepared: o.prep, Trace: o.trace, DisableZoneSkip: o.noZoneSkip})
-	sample, err := eng.ExecuteBatch(planned.Root, o.seed)
-	if err != nil {
-		return nil, err
-	}
-	// One-shot execution: the sample batch is dead once every aggregate
-	// over it has been evaluated (the Result keeps only scalars and
-	// strings), so recycle its buffers. Release no-ops on batches that
-	// alias relation snapshots (bare scans) rather than owning storage.
-	defer sample.Release()
-	cards := map[string]int{}
-	scanned := 0
-	plan.Walk(planned.Root, func(n plan.Node) {
-		if s, ok := n.(*plan.Scan); ok {
-			alias := s.Rel.Name()
-			if s.Alias != "" {
-				alias = s.Alias
-			}
-			// A synopsis-rewritten scan reads the synopsis's rows, but the
-			// LOGICAL cardinality — what WOR variance prediction needs — is
-			// the source table's, recorded on the scan at rewrite time.
-			cards[alias] = s.Rel.Len()
-			if s.FullRows > 0 {
-				cards[alias] = s.FullRows
-			}
-			scanned += s.Rel.Len()
-		}
-	})
-	res := &Result{
-		SampleRows:   sample.Len(),
-		PlanText:     plan.Format(planned.Root),
-		TraceText:    analysis.FormatTrace(),
-		GUSText:      analysis.G.String(),
-		scannedRows:  scanned,
-		skippedParts: eng.PartitionsSkipped(),
-	}
-	if planned.GroupBy != "" {
-		gsp := o.trace.Begin("group", planned.GroupBy, -1)
-		keys, parts, err := partitionBatchByColumn(sample, planned.GroupBy)
-		if err != nil {
-			return nil, err
-		}
-		o.trace.End(gsp, int64(sample.Len()), int64(len(keys)))
-		for gi, key := range keys {
-			g := Group{Key: key}
-			for i, agg := range planned.Aggregates {
-				v, err := db.evalAggregate(analysis.G, parts[gi], agg, i, o)
-				if err != nil {
-					return nil, fmt.Errorf("gus: group %q: %w", key, err)
-				}
-				v.cards = cards
-				g.Values = append(g.Values, *v)
-			}
-			res.Groups = append(res.Groups, g)
-		}
-		return res, nil
-	}
-	for i, agg := range planned.Aggregates {
-		v, err := db.evalAggregate(analysis.G, sample, agg, i, o)
-		if err != nil {
-			return nil, err
-		}
-		v.cards = cards
-		res.Values = append(res.Values, *v)
-	}
-	return res, nil
-}
-
-// partitionBatchByColumn splits the sample into GROUP BY buckets — keys[i]
-// is the rendered group value, parts[i] that group's rows — ordered by the
-// grouping column's value (numerically for Int/Float columns — so keys come
-// back 1, 2, 10 rather than "1", "10", "2" — lexicographically for
-// strings). Restricting the sample to one group is exactly evaluating the
-// SUM-like aggregate f·1{group=k} over the whole sample, so each bucket
-// inherits the plan's top GUS unchanged.
-//
-// Rows group on an open-addressing grouper keyed directly by the typed
-// column — dictionary codes for encoded strings, int64 values, float bit
-// patterns (all NaNs one group) — with a full typed compare on hash
-// collisions. Group identity is the value's AsString rendering (injective
-// per kind except for NaN, which it collapses, as the bit-pattern identity
-// does too), and the key string is rendered once per GROUP, not once per
-// row.
-func partitionBatchByColumn(b *batch.Batch, col string) (keys []string, parts []*batch.Batch, err error) {
-	idx, ok := b.Schema.Index(col)
-	if !ok {
-		return nil, nil, fmt.Errorf("gus: unknown GROUP BY column %q", col)
-	}
-	v := b.Cols[idx]
-	g := hashtab.NewGrouper(64)
-	var reps []int32   // first row of each group, first-seen order
-	var sels [][]int32 // rows per group
-	cand := 0
-	eq := func(id int32) bool { return groupEqualAt(v, cand, int(reps[id])) }
-	for i := 0; i < b.Len(); i++ {
-		cand = i
-		id, fresh := g.Get(groupHashAt(v, i), eq)
-		if fresh {
-			reps = append(reps, int32(i))
-			sels = append(sels, nil)
-		}
-		sels[id] = append(sels[id], int32(i))
-	}
-	// Sort first-seen group order by column value (Value.Compare
-	// semantics).
-	order := make([]int, len(reps))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, c int) bool {
-		va, vc := b.ValueAt(int(reps[order[a]]), idx), b.ValueAt(int(reps[order[c]]), idx)
-		cmp, err := va.Compare(vc)
-		if err != nil {
-			// Mixed-kind keys cannot arise from a typed column; fall back
-			// to the textual order for safety.
-			return va.AsString() < vc.AsString()
-		}
-		return cmp < 0
-	})
-	for _, id := range order {
-		keys = append(keys, b.ValueAt(int(reps[id]), idx).AsString())
-		parts = append(parts, b.Gather(sels[id]))
-	}
-	return keys, parts, nil
-}
-
-// groupHashAt hashes row i of a column under GROUP BY identity: int64
-// value, float bit pattern (NaNs collapsed), or the string (by dictionary
-// lookup when encoded). Distinct from join-key hashing — FloatKey's
-// int-normalization must NOT apply, because AsString keeps 42 (int) and
-// "-0"/"0" style distinctions that grouping preserves.
-func groupHashAt(v expr.Vec, i int) uint64 {
-	switch v.Kind {
-	case relation.KindInt:
-		return hashtab.Mix(uint64(v.I[i]))
-	case relation.KindFloat:
-		f := v.F[i]
-		if math.IsNaN(f) {
-			f = math.NaN()
-		}
-		return hashtab.Mix(math.Float64bits(f))
-	default:
-		if v.Codes != nil {
-			return v.Dict.Hashes[v.Codes[i]]
-		}
-		return hashtab.String(v.S[i])
-	}
-}
-
-// groupEqualAt is groupHashAt's identity: the full compare deciding groups.
-func groupEqualAt(v expr.Vec, i, j int) bool {
-	switch v.Kind {
-	case relation.KindInt:
-		return v.I[i] == v.I[j]
-	case relation.KindFloat:
-		a, b := v.F[i], v.F[j]
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return math.IsNaN(a) && math.IsNaN(b)
-		}
-		return math.Float64bits(a) == math.Float64bits(b)
-	default:
-		if v.Codes != nil {
-			return v.Codes[i] == v.Codes[j]
-		}
-		return v.S[i] == v.S[j]
-	}
-}
-
-func (db *DB) evalAggregate(g *core.Params, s *batch.Batch, agg sqlparse.Aggregate, idx int, o queryOptions) (*Value, error) {
-	name := agg.Alias
-	if name == "" {
-		name = fmt.Sprintf("col%d", idx+1)
-	}
-	eopts := estimator.Options{
-		MaxVarianceRows: o.maxVarianceRows,
-		Seed:            o.seed + 0x5b0c,
-		Workers:         o.workers,
-		Trace:           o.trace,
-		// Variance diagnostics ride along with tracing (never changing
-		// results either way — see the bit-identity tests).
-		Diagnostics: o.trace != nil,
-	}
-	f := agg.Arg
-	if f == nil || agg.Kind == sqlparse.AggCount {
-		f = expr.Int(1) // COUNT via SUM of 1 (§1)
-	}
-	v := &Value{Name: name, Kind: agg.Kind.String(), schema: g.Schema()}
-
-	// QUANTILE answers follow the query's interval choice: normal
-	// approximation by default, the distribution-free Cantelli bound under
-	// WithInterval(ChebyshevInterval) — never a normal quantile glued to a
-	// Chebyshev interval.
-	ciMethod := estimator.Normal
-	if o.interval == ChebyshevInterval {
-		ciMethod = estimator.Chebyshev
-	}
-
-	switch agg.Kind {
-	case sqlparse.AggSum, sqlparse.AggCount:
-		er, err := estimator.EstimateBatch(g, s, f, eopts)
-		if err != nil {
-			return nil, err
-		}
-		v.Estimate = er.Estimate
-		v.StdErr = er.StdDev()
-		v.yhat = er.YHat
-		if er.Diag != nil {
-			v.Reliability, v.VarianceRSE = er.Diag.Grade, er.Diag.VarianceRSE
-		}
-		if agg.HasQuantile {
-			v.Kind = fmt.Sprintf("QUANTILE(%s,%g)", agg.Kind, agg.Quantile)
-			v.Value = er.QuantileWith(agg.Quantile, ciMethod)
-		} else {
-			v.Value = er.Estimate
-		}
-		v.CILow, v.CIHigh = er.CI(o.level, ciMethod)
-	case sqlparse.AggAvg:
-		est, sd, diag, err := avgDelta(g, s, agg.Arg, eopts)
-		if err != nil {
-			return nil, err
-		}
-		v.Estimate, v.StdErr, v.Approximate = est, sd, true
-		if diag != nil {
-			v.Reliability, v.VarianceRSE = diag.Grade, diag.VarianceRSE
-		}
-		if agg.HasQuantile {
-			v.Kind = fmt.Sprintf("QUANTILE(AVG,%g)", agg.Quantile)
-			switch ciMethod {
-			case estimator.Chebyshev:
-				v.Value = est + stats.CantelliQuantile(agg.Quantile)*sd
-			default:
-				v.Value = est + stats.NormalQuantile(agg.Quantile)*sd
-			}
-		} else {
-			v.Value = est
-		}
-		switch ciMethod {
-		case estimator.Chebyshev:
-			h := stats.ChebyshevHalfWidth(o.level, sd)
-			v.CILow, v.CIHigh = est-h, est+h
-		default:
-			h := stats.NormalHalfWidth(o.level, sd)
-			v.CILow, v.CIHigh = est-h, est+h
-		}
-	default:
-		return nil, fmt.Errorf("gus: unsupported aggregate %v", agg.Kind)
-	}
-	return v, nil
-}
-
-// avgDelta estimates AVG(f) = SUM(f)/COUNT(*) with a delta-method variance
-// (§9: "good quality approximations can be provided, using for example the
-// delta method"), delegating to the estimator's Ratio machinery, which
-// estimates Cov(SUM, COUNT) from unbiased bilinear lineage moments.
-func avgDelta(g *core.Params, s *batch.Batch, f expr.Expr, eopts estimator.Options) (est, sd float64, diag *estimator.Diagnostics, err error) {
-	if f == nil {
-		return 0, 0, nil, fmt.Errorf("gus: AVG(*) is not valid SQL")
-	}
-	r, err := estimator.RatioBatch(g, s, f, expr.Int(1), eopts)
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("gus: AVG: %w", err)
-	}
-	return r.Estimate, r.StdDev(), r.Diag, nil
+	o.survival = survival
+	return db.query(context.Background(), stmtRef{sql: sql}, o)
 }
 
 // Sampling describes one relation's sampling in a hypothetical design for

@@ -308,8 +308,11 @@ func TestGUSPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Robustness-style wrapping (§8) — G parameters are irrelevant here.
-	wrapped := plan.WrapScans(inner, func(s *plan.Scan) plan.Node {
-		return &plan.GUS{Input: s}
+	wrapped := plan.Rewrite(inner, func(n plan.Node) plan.Node {
+		if s, ok := n.(*plan.Scan); ok {
+			return &plan.GUS{Input: s}
+		}
+		return n
 	})
 	rowsWrapped, err := execRows(New(Config{}), wrapped, 1)
 	if err != nil {

@@ -60,10 +60,6 @@ func (e *Engine) PrepareWaves(root plan.Node, seed uint64) (*WaveExec, error) {
 	if err != nil {
 		return nil, err
 	}
-	alias := c.scan.Rel.Name()
-	if c.scan.Alias != "" {
-		alias = c.scan.Alias
-	}
 	return &WaveExec{
 		e:     e,
 		in:    in,
@@ -72,7 +68,7 @@ func (e *Engine) PrepareWaves(root plan.Node, seed uint64) (*WaveExec, error) {
 		preds: preds,
 		proj:  proj,
 		zp:    zp,
-		alias: alias,
+		alias: c.scan.LineageName(),
 	}, nil
 }
 

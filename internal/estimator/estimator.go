@@ -99,6 +99,28 @@ func (m CIMethod) String() string {
 	}
 }
 
+// HalfWidth is the half-width of a two-sided interval at the given level
+// around an estimate with standard deviation sd. Every interval the system
+// reports — one-shot SUM and AVG, every progressive wave — is priced here.
+func (m CIMethod) HalfWidth(level, sd float64) float64 {
+	if m == Chebyshev {
+		return stats.ChebyshevHalfWidth(level, sd)
+	}
+	return stats.NormalHalfWidth(level, sd)
+}
+
+// Quantile is the q-quantile of an estimator distribution with mean est
+// and standard deviation sd — the QUANTILE(SUM(...), q) of the paper's §1
+// view. Normal uses the normal approximation, Chebyshev the
+// distribution-free one-sided Cantelli bound (valid for any distribution,
+// wider), so QUANTILE answers stay consistent with the interval choice.
+func (m CIMethod) Quantile(est, sd, q float64) float64 {
+	if m == Chebyshev {
+		return est + stats.CantelliQuantile(q)*sd
+	}
+	return est + stats.NormalQuantile(q)*sd
+}
+
 // Options tunes the SBox.
 type Options struct {
 	// MaxVarianceRows, when positive, activates §7 sub-sampling: if the
@@ -167,33 +189,20 @@ func (r *Result) StdDev() float64 { return math.Sqrt(r.Variance) }
 
 // CI returns a two-sided confidence interval at the given level.
 func (r *Result) CI(level float64, method CIMethod) (lo, hi float64) {
-	var half float64
-	switch method {
-	case Chebyshev:
-		half = stats.ChebyshevHalfWidth(level, r.StdDev())
-	default:
-		half = stats.NormalHalfWidth(level, r.StdDev())
-	}
+	half := method.HalfWidth(level, r.StdDev())
 	return r.Estimate - half, r.Estimate + half
 }
 
 // Quantile returns the q-quantile of the estimator distribution under the
-// normal approximation — the QUANTILE(SUM(...), q) of the paper's §1 view.
+// normal approximation (see CIMethod.Quantile).
 func (r *Result) Quantile(q float64) float64 {
-	return r.Estimate + stats.NormalQuantile(q)*r.StdDev()
+	return Normal.Quantile(r.Estimate, r.StdDev(), q)
 }
 
-// QuantileWith returns the q-quantile under the given interval method, so
-// QUANTILE answers stay consistent with the query's interval choice:
-// Normal uses the normal approximation, Chebyshev the distribution-free
-// one-sided Cantelli bound (valid for any distribution, wider).
+// QuantileWith returns the q-quantile under the given interval method (see
+// CIMethod.Quantile).
 func (r *Result) QuantileWith(q float64, method CIMethod) float64 {
-	switch method {
-	case Chebyshev:
-		return r.Estimate + stats.CantelliQuantile(q)*r.StdDev()
-	default:
-		return r.Quantile(q)
-	}
+	return method.Quantile(r.Estimate, r.StdDev(), q)
 }
 
 // Estimate runs the SBox over the reference executor's row-major sample —

@@ -36,7 +36,6 @@ import (
 	"github.com/sampling-algebra/gus/internal/expr"
 	"github.com/sampling-algebra/gus/internal/obs"
 	"github.com/sampling-algebra/gus/internal/relation"
-	"github.com/sampling-algebra/gus/internal/stats"
 )
 
 // Stop reasons reported on the last Update of a stream.
@@ -82,9 +81,6 @@ type Config struct {
 	Level float64
 	// Method selects normal or Chebyshev intervals.
 	Method estimator.CIMethod
-	// PartitionSize overrides the estimator accumulator span size
-	// (0 selects the default; must match any run compared bit-for-bit).
-	PartitionSize int
 }
 
 func (c Config) level() float64 {
@@ -101,15 +97,18 @@ func (c Config) waveRows() int {
 	return c.WaveRows
 }
 
-// ValueUpdate is one SELECT item's state after a wave.
+// ValueUpdate is one SELECT item's priced answer: after a wave, or from a
+// one-shot run (see Price). Its fields are the public gus.UpdateValue's,
+// in the same order, so the root package converts it with a plain type
+// conversion.
 type ValueUpdate struct {
 	Name, Kind string
 	// Value is what the query returns (the estimate, or the requested
 	// quantile of the estimator distribution for QUANTILE items).
 	Value float64
-	// Estimate, StdErr and Variance describe the Theorem-1 estimator
-	// under the prefix model (exact Theorem 1 at completion).
-	Estimate, StdErr, Variance float64
+	// Estimate and StdErr describe the Theorem-1 estimator under the
+	// prefix model (exact Theorem 1 at completion).
+	Estimate, StdErr float64
 	// CILow and CIHigh bound the aggregate at the configured level.
 	CILow, CIHigh float64
 	// Approximate marks delta-method (AVG) items.
@@ -124,8 +123,7 @@ type ValueUpdate struct {
 	VarianceRSE float64
 }
 
-// Update is one progressive refinement. The top-level estimator fields
-// mirror Values[0] for the common single-aggregate query.
+// Update is one progressive refinement.
 type Update struct {
 	// Wave counts emitted updates, from 0.
 	Wave int
@@ -142,8 +140,7 @@ type Update struct {
 	Done   bool
 	Reason string
 
-	Estimate, StdErr, CILow, CIHigh float64
-	Values                          []ValueUpdate
+	Values []ValueUpdate
 }
 
 // Executor drives one progressive query.
@@ -189,13 +186,13 @@ func (x *Executor) Run(ctx context.Context, emit func(Update) bool) error {
 		if states[i].f, err = compileF(it.F, outSchema); err != nil {
 			return err
 		}
-		states[i].acc = estimator.NewAccum(n, false, x.Cfg.PartitionSize)
+		states[i].acc = estimator.NewAccum(n, false, 0)
 		if it.Ratio {
 			if states[i].den, err = compileF(it.Den, outSchema); err != nil {
 				return err
 			}
-			states[i].accD = estimator.NewAccum(n, false, x.Cfg.PartitionSize)
-			states[i].accCross = estimator.NewAccum(n, true, x.Cfg.PartitionSize)
+			states[i].accD = estimator.NewAccum(n, false, 0)
+			states[i].accCross = estimator.NewAccum(n, true, 0)
 		}
 	}
 	start := time.Now() //gus:nondet-ok deadline early-stop is wall-clock by design; estimates stay wave-deterministic
@@ -255,8 +252,9 @@ func (x *Executor) Run(ctx context.Context, emit func(Update) bool) error {
 		case x.Cfg.Deadline > 0 && time.Since(start) >= x.Cfg.Deadline:
 			u.Done, u.Reason = true, ReasonDeadline
 		}
+		top := u.Values[0]
 		//gus:nondet-ok wave latency is observability, not part of the estimate
-		x.Trace.AddWave(u.Wave, u.FractionScanned, u.Estimate, u.CIHigh-u.CILow, time.Since(waveStart))
+		x.Trace.AddWave(u.Wave, u.FractionScanned, top.Estimate, top.CIHigh-top.CILow, time.Since(waveStart))
 		if !emit(u) || u.Done {
 			return nil
 		}
@@ -343,14 +341,10 @@ func (x *Executor) snapshot(states []itemState, wave int, frac float64, scanned 
 		}
 		u.Values = append(u.Values, vu)
 	}
-	u.Estimate = u.Values[0].Estimate
-	u.StdErr = u.Values[0].StdErr
-	u.CILow, u.CIHigh = u.Values[0].CILow, u.Values[0].CIHigh
 	return u, nil
 }
 
 func (x *Executor) itemUpdate(st *itemState, it Item, gw *core.Params, final bool) (ValueUpdate, error) {
-	vu := ValueUpdate{Name: it.Name, Kind: it.Kind, Approximate: it.Ratio}
 	var est, sd float64
 	clamped := false
 	if it.Ratio {
@@ -366,9 +360,9 @@ func (x *Executor) itemUpdate(st *itemState, it Item, gw *core.Params, final boo
 			if !final {
 				// An early prefix may not have met the denominator yet;
 				// report "no estimate yet" instead of killing the stream.
-				return undefined(vu), nil
+				return undefined(it), nil
 			}
-			return vu, err
+			return ValueUpdate{}, err
 		}
 		est, sd = rr.Estimate, rr.StdDev()
 		clamped = rr.Num.Clamped || rr.Den.Clamped
@@ -381,48 +375,52 @@ func (x *Executor) itemUpdate(st *itemState, it Item, gw *core.Params, final boo
 		}
 		res, err := estimator.EstimateFromMoments(gw, st.acc.Total(), y, st.acc.Rows())
 		if err != nil {
-			return vu, err
+			return ValueUpdate{}, err
 		}
 		est, sd = res.Estimate, res.StdDev()
 		clamped = res.Clamped
 	}
+	vu := Price(it, est, sd, x.Cfg.level(), x.Cfg.Method)
 	// Grade this wave's CI from the accumulator's full-mask group stats —
 	// a read-only snapshot, so the estimate floats above are untouched.
 	if d := estimator.DiagnoseAccum(st.acc, it.Ratio, clamped); d != nil {
 		vu.Reliability, vu.VarianceRSE = d.Grade, d.VarianceRSE
 	}
-	vu.Estimate, vu.StdErr, vu.Variance = est, sd, sd*sd
-	var half float64
-	switch x.Cfg.Method {
-	case estimator.Chebyshev:
-		half = stats.ChebyshevHalfWidth(x.Cfg.level(), sd)
-	default:
-		half = stats.NormalHalfWidth(x.Cfg.level(), sd)
-	}
-	vu.CILow, vu.CIHigh = est-half, est+half
-	vu.Value = est
-	if it.HasQuantile {
-		switch x.Cfg.Method {
-		case estimator.Chebyshev:
-			vu.Value = est + stats.CantelliQuantile(it.Quantile)*sd
-		default:
-			vu.Value = est + stats.NormalQuantile(it.Quantile)*sd
-		}
-	}
-	vu.RelHalfWidth = math.Inf(1)
-	if est != 0 && !math.IsNaN(est) {
-		vu.RelHalfWidth = half / math.Abs(est)
-	}
 	return vu, nil
 }
 
-// undefined marks an item that has no estimate yet (early empty prefix).
-func undefined(vu ValueUpdate) ValueUpdate {
-	nan := math.NaN()
-	vu.Value, vu.Estimate, vu.StdErr, vu.Variance = nan, nan, nan, nan
-	vu.CILow, vu.CIHigh = nan, nan
-	vu.RelHalfWidth = math.Inf(1)
+// Price turns an item's estimate and standard deviation into its answer:
+// the interval at level under method, the reported value (the estimate,
+// or the requested quantile of the estimator distribution) and the
+// relative half-width early stopping tests. Waves and one-shot queries are
+// priced here alike, which is what keeps a completed stream's final update
+// bit-identical to the one-shot answer.
+func Price(it Item, est, sd, level float64, method estimator.CIMethod) ValueUpdate {
+	half := method.HalfWidth(level, sd)
+	vu := ValueUpdate{
+		Name: it.Name, Kind: it.Kind,
+		Value: est, Estimate: est, StdErr: sd,
+		CILow: est - half, CIHigh: est + half,
+		Approximate:  it.Ratio,
+		RelHalfWidth: math.Inf(1),
+	}
+	if it.HasQuantile {
+		vu.Value = method.Quantile(est, sd, it.Quantile)
+	}
+	if est != 0 && !math.IsNaN(est) {
+		vu.RelHalfWidth = half / math.Abs(est)
+	}
 	return vu
+}
+
+// undefined is an item that has no estimate yet (early empty prefix).
+func undefined(it Item) ValueUpdate {
+	nan := math.NaN()
+	return ValueUpdate{
+		Name: it.Name, Kind: it.Kind, Approximate: it.Ratio,
+		Value: nan, Estimate: nan, StdErr: nan, CILow: nan, CIHigh: nan,
+		RelHalfWidth: math.Inf(1),
+	}
 }
 
 // targetMet reports whether every item's relative CI half-width is within

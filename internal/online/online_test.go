@@ -91,7 +91,7 @@ func TestEmptyRelation(t *testing.T) {
 	if !u.Final || !u.Done || u.Reason != ReasonComplete || u.FractionScanned != 1 {
 		t.Fatalf("unexpected final update: %+v", u)
 	}
-	if u.Estimate != 0 || u.SampleRows != 0 {
+	if u.Values[0].Estimate != 0 || u.SampleRows != 0 {
 		t.Fatalf("empty relation must estimate 0: %+v", u)
 	}
 }

@@ -56,7 +56,7 @@ func Analyze(n Node) (*Analysis, error) {
 func (a *Analysis) analyze(n Node) (*core.Params, error) {
 	switch t := n.(type) {
 	case *Scan:
-		schema, err := lineage.NewSchema(t.aliasOrName())
+		schema, err := lineage.NewSchema(t.LineageName())
 		if err != nil {
 			return nil, err
 		}

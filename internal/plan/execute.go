@@ -20,7 +20,7 @@ import (
 func Execute(n Node, rng *stats.RNG) (*ops.Rows, error) {
 	switch t := n.(type) {
 	case *Scan:
-		return ops.FromRelation(t.Rel, t.aliasOrName())
+		return ops.FromRelation(t.Rel, t.LineageName())
 	case *Sample:
 		in, err := Execute(t.Input, rng)
 		if err != nil {

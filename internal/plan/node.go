@@ -100,8 +100,9 @@ type GUS struct {
 	G     *core.Params
 }
 
-// Alias returns the scan's lineage name.
-func (s *Scan) aliasOrName() string {
+// LineageName is the name the scan's relation carries in lineage schemas:
+// its alias, or the relation's own name.
+func (s *Scan) LineageName() string {
 	if s.Alias != "" {
 		return s.Alias
 	}
@@ -138,7 +139,7 @@ func (g *GUS) Children() []Node { return []Node{g.Input} }
 // Label implements Node.
 func (s *Scan) Label() string {
 	if s.Synopsis != "" {
-		return fmt.Sprintf("scan synopsis %s as %s", s.Synopsis, s.aliasOrName())
+		return fmt.Sprintf("scan synopsis %s as %s", s.Synopsis, s.LineageName())
 	}
 	if s.Alias != "" && s.Alias != s.Rel.Name() {
 		return fmt.Sprintf("scan %s as %s", s.Rel.Name(), s.Alias)
@@ -173,18 +174,7 @@ func (g *GUS) Label() string { return "GUS " + g.G.String() }
 // Format renders the plan tree, one node per line, children indented —
 // mirroring the paper's Figure 2/4 plan drawings.
 func Format(n Node) string {
-	var sb strings.Builder
-	var walk func(Node, int)
-	walk = func(n Node, depth int) {
-		sb.WriteString(strings.Repeat("  ", depth))
-		sb.WriteString(n.Label())
-		sb.WriteByte('\n')
-		for _, c := range n.Children() {
-			walk(c, depth+1)
-		}
-	}
-	walk(n, 0)
-	return sb.String()
+	return FormatAnnotated(n, func(Node, int) string { return "" })
 }
 
 // FormatAnnotated renders the plan tree like Format, appending the
@@ -221,59 +211,88 @@ func Walk(n Node, fn func(Node)) {
 	}
 }
 
-// WrapScans returns a copy of the plan with every Scan leaf replaced by
-// wrap(scan). It is the hook for §8 "database as a sample" analyses, which
-// place GUS quasi-operators directly above base tables.
-func WrapScans(n Node, wrap func(*Scan) Node) Node {
+// Rewrite rebuilds the plan bottom-up: each node's inputs are rewritten
+// first, the node is copied only if one of them changed, and fn maps the
+// result. fn sees every node exactly once, after its whole subtree. The
+// input plan is never modified and unchanged subtrees are shared with it —
+// it may be a cached template — so fn must return a new node to change
+// one, never edit its argument.
+//
+// This is the one place that knows every node type's inputs; plan
+// transformations (sampling removal, scan wrapping, column pruning,
+// synopsis substitution) are all a fn over it.
+func Rewrite(n Node, fn func(Node) Node) Node {
 	switch t := n.(type) {
 	case *Scan:
-		return wrap(t)
 	case *Sample:
-		return &Sample{Input: WrapScans(t.Input, wrap), Method: t.Method}
+		if in := Rewrite(t.Input, fn); in != t.Input {
+			c := *t
+			c.Input = in
+			n = &c
+		}
 	case *GUS:
-		return &GUS{Input: WrapScans(t.Input, wrap), G: t.G}
+		if in := Rewrite(t.Input, fn); in != t.Input {
+			c := *t
+			c.Input = in
+			n = &c
+		}
 	case *Select:
-		return &Select{Input: WrapScans(t.Input, wrap), Pred: t.Pred}
-	case *Join:
-		return &Join{Left: WrapScans(t.Left, wrap), Right: WrapScans(t.Right, wrap), LeftCol: t.LeftCol, RightCol: t.RightCol}
-	case *Theta:
-		return &Theta{Left: WrapScans(t.Left, wrap), Right: WrapScans(t.Right, wrap), Pred: t.Pred}
+		if in := Rewrite(t.Input, fn); in != t.Input {
+			c := *t
+			c.Input = in
+			n = &c
+		}
 	case *Project:
-		return &Project{Input: WrapScans(t.Input, wrap), Names: t.Names, Exprs: t.Exprs}
+		if in := Rewrite(t.Input, fn); in != t.Input {
+			c := *t
+			c.Input = in
+			n = &c
+		}
+	case *Join:
+		if l, r := Rewrite(t.Left, fn), Rewrite(t.Right, fn); l != t.Left || r != t.Right {
+			c := *t
+			c.Left, c.Right = l, r
+			n = &c
+		}
+	case *Theta:
+		if l, r := Rewrite(t.Left, fn), Rewrite(t.Right, fn); l != t.Left || r != t.Right {
+			c := *t
+			c.Left, c.Right = l, r
+			n = &c
+		}
 	case *Union:
-		return &Union{Left: WrapScans(t.Left, wrap), Right: WrapScans(t.Right, wrap)}
+		if l, r := Rewrite(t.Left, fn), Rewrite(t.Right, fn); l != t.Left || r != t.Right {
+			c := *t
+			c.Left, c.Right = l, r
+			n = &c
+		}
 	case *Intersect:
-		return &Intersect{Left: WrapScans(t.Left, wrap), Right: WrapScans(t.Right, wrap)}
+		if l, r := Rewrite(t.Left, fn), Rewrite(t.Right, fn); l != t.Left || r != t.Right {
+			c := *t
+			c.Left, c.Right = l, r
+			n = &c
+		}
 	default:
-		panic(fmt.Sprintf("plan: WrapScans: unknown node %T", n))
+		panic(fmt.Sprintf("plan: Rewrite: unknown node %T", n))
 	}
+	return fn(n)
 }
 
-// StripSampling returns a copy of the plan with every Sample and GUS node
-// removed — the exact (non-approximate) plan, used to compute ground truth
-// in experiments.
+// StripSampling returns the plan with every Sample and GUS node removed —
+// the exact (non-approximate) plan, used to compute ground truth.
 func StripSampling(n Node) Node {
-	switch t := n.(type) {
-	case *Scan:
-		return t
-	case *Sample:
-		return StripSampling(t.Input)
-	case *GUS:
-		return StripSampling(t.Input)
-	case *Select:
-		return &Select{Input: StripSampling(t.Input), Pred: t.Pred}
-	case *Join:
-		return &Join{Left: StripSampling(t.Left), Right: StripSampling(t.Right), LeftCol: t.LeftCol, RightCol: t.RightCol}
-	case *Theta:
-		return &Theta{Left: StripSampling(t.Left), Right: StripSampling(t.Right), Pred: t.Pred}
-	case *Project:
-		return &Project{Input: StripSampling(t.Input), Names: t.Names, Exprs: t.Exprs}
-	case *Union:
-		// Without sampling both branches are the same expression; keep one.
-		return StripSampling(t.Left)
-	case *Intersect:
-		return StripSampling(t.Left)
-	default:
-		panic(fmt.Sprintf("plan: StripSampling: unknown node %T", n))
-	}
+	return Rewrite(n, func(n Node) Node {
+		switch t := n.(type) {
+		case *Sample:
+			return t.Input
+		case *GUS:
+			return t.Input
+		case *Union:
+			// Without sampling both branches are the same expression; keep one.
+			return t.Left
+		case *Intersect:
+			return t.Left
+		}
+		return n
+	})
 }

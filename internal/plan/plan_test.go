@@ -450,6 +450,56 @@ func TestStripSampling(t *testing.T) {
 	}
 }
 
+// TestRewriteCopyOnWrite: Rewrite leaves its input untouched, shares every
+// subtree fn did not change, and copies exactly the spine above a change.
+func TestRewriteCopyOnWrite(t *testing.T) {
+	li := lineitemRel(t, 100, 50)
+	ord := ordersRel(t, 50)
+	n := query1Plan(t, li, ord)
+	before := Format(n)
+	if got := Rewrite(n, func(c Node) Node { return c }); got != n {
+		t.Fatal("identity rewrite copied the plan")
+	}
+	visits := 0
+	wrapped := Rewrite(n, func(c Node) Node {
+		visits++
+		if s, ok := c.(*Scan); ok && s.Rel == ord {
+			return &GUS{Input: s}
+		}
+		return c
+	})
+	if Format(n) != before {
+		t.Fatal("Rewrite modified its input plan")
+	}
+	nodes := 0
+	Walk(n, func(Node) { nodes++ })
+	if visits != nodes {
+		t.Fatalf("fn saw %d nodes, plan has %d", visits, nodes)
+	}
+	if wrapped == n {
+		t.Fatal("a changed leaf did not copy the root")
+	}
+	shared, wraps := 0, 0
+	Walk(wrapped, func(c Node) {
+		if g, ok := c.(*GUS); ok && g.G == nil {
+			wraps++
+		}
+		Walk(n, func(o Node) {
+			if o == c {
+				shared++
+			}
+		})
+	})
+	if wraps != 1 {
+		t.Fatalf("%d wrapped scans, want 1", wraps)
+	}
+	// σ, ⋈ and the orders Sample are copies; the lineitem Sample, its scan
+	// and the orders scan (now under the GUS) are the input's own nodes.
+	if shared != 3 {
+		t.Fatalf("%d nodes shared with the input, want 3", shared)
+	}
+}
+
 func TestProjectNodeExecutesAndAnalyzes(t *testing.T) {
 	li := lineitemRel(t, 50, 20)
 	bern, _ := sampling.NewBernoulli("l", 0.5)

@@ -324,70 +324,34 @@ func (t *Template) Bind(vals []relation.Value, opts PlannerOptions) (*Planned, e
 	return &Planned{Root: root, Aggregates: aggs, GroupBy: t.groupBy, Explain: t.explain}, nil
 }
 
-// bindNode clones the spine of the plan that holds deferred sampling
-// methods, sharing every untouched subtree. The clone preserves the plan
-// shape exactly, so the engine's pre-order node numbering — and with it
-// every per-(seed, node, partition) sampling decision — matches a plan
-// built directly from literal SQL.
+// bindNode makes every deferred sampling method concrete. plan.Rewrite
+// clones only the spine above each bound Sample and shares every
+// untouched subtree; the clone preserves the plan shape exactly, so the
+// engine's pre-order node numbering — and with it every per-(seed, node,
+// partition) sampling decision — matches a plan built directly from
+// literal SQL.
 func bindNode(n plan.Node, vals []relation.Value, blockSize int, seed uint64) (plan.Node, error) {
-	switch t := n.(type) {
-	case *plan.Scan:
-		return t, nil
-	case *plan.Sample:
-		in, err := bindNode(t.Input, vals, blockSize, seed)
-		if err != nil {
-			return nil, err
+	var err error
+	root := plan.Rewrite(n, func(n plan.Node) plan.Node {
+		s, ok := n.(*plan.Sample)
+		if !ok || err != nil {
+			return n
 		}
-		d, ok := t.Method.(*deferredMethod)
+		d, ok := s.Method.(*deferredMethod)
 		if !ok {
-			if in == t.Input {
-				return t, nil
-			}
-			return &plan.Sample{Input: in, Method: t.Method}, nil
+			return n
 		}
-		m, err := boundMethodFor(d.ref, vals, blockSize, seed)
-		if err != nil {
-			return nil, err
+		m, merr := boundMethodFor(d.ref, vals, blockSize, seed)
+		if merr != nil {
+			err = merr
+			return n
 		}
-		return &plan.Sample{Input: in, Method: m}, nil
-	case *plan.Select:
-		in, err := bindNode(t.Input, vals, blockSize, seed)
-		if err != nil {
-			return nil, err
-		}
-		if in == t.Input {
-			return t, nil
-		}
-		return &plan.Select{Input: in, Pred: t.Pred}, nil
-	case *plan.Join:
-		l, err := bindNode(t.Left, vals, blockSize, seed)
-		if err != nil {
-			return nil, err
-		}
-		r, err := bindNode(t.Right, vals, blockSize, seed)
-		if err != nil {
-			return nil, err
-		}
-		if l == t.Left && r == t.Right {
-			return t, nil
-		}
-		return &plan.Join{Left: l, Right: r, LeftCol: t.LeftCol, RightCol: t.RightCol}, nil
-	case *plan.Theta:
-		l, err := bindNode(t.Left, vals, blockSize, seed)
-		if err != nil {
-			return nil, err
-		}
-		r, err := bindNode(t.Right, vals, blockSize, seed)
-		if err != nil {
-			return nil, err
-		}
-		if l == t.Left && r == t.Right {
-			return t, nil
-		}
-		return &plan.Theta{Left: l, Right: r, Pred: t.Pred}, nil
-	default:
-		return nil, fmt.Errorf("sql: bind: unexpected plan node %T", n)
+		return &plan.Sample{Input: s.Input, Method: m}
+	})
+	if err != nil {
+		return nil, err
 	}
+	return root, nil
 }
 
 // boundMethodFor resolves a TABLESAMPLE clause's numeric argument (literal

@@ -189,24 +189,16 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 // that prepare explicitly and then execute the Stmt — like gusserve —
 // produce the same trace a db.Query call would. tr may be nil.
 func (db *DB) PrepareCachedTrace(sql string, tr *Trace) (*Stmt, error) {
-	ppStart := time.Now()
-	st, hit, err := db.prepareCached(sql)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		recordPlanSpan(tr, time.Since(ppStart), hit)
-	}
-	return st, nil
+	o := queryOptions{trace: tr}
+	return db.resolve(stmtRef{sql: sql}, &o)
 }
 
 // ---------------------------------------------------------------------------
 // Trace finalization.
 
-// recordPlanSpan back-fills the parse+plan span: planning happened
-// before the trace's clock anchored (the statement may have come from
-// the plan cache before options were even inspected), so the span is
-// recorded with an explicit duration and the cache outcome.
+// recordPlanSpan back-fills the parse+plan span: planning happened before
+// the trace's clock anchored, so the span carries an explicit duration and
+// the plan-cache outcome.
 func recordPlanSpan(t *obs.Trace, d time.Duration, hit bool) {
 	sp := t.Begin("parse+plan", "", -1)
 	t.End(sp, -1, -1)
@@ -216,12 +208,15 @@ func recordPlanSpan(t *obs.Trace, d time.Duration, hit bool) {
 	})
 }
 
-// finishTrace renders the annotated plan tree into the trace and stamps
-// totals. The annotation per node aggregates its recorded spans (a node
-// can have several: join build + probe).
-func finishTrace(t *obs.Trace, root plan.Node, sql, shape string) {
+// finishTrace completes the trace of a finished query: it renders the
+// annotated plan tree and stamps totals. The annotation per node
+// aggregates its recorded spans (a node can have several: join build +
+// probe). It returns the rendered trace for an EXPLAIN ANALYZE statement,
+// "" otherwise or when no trace rides along.
+func finishTrace(o *queryOptions, root plan.Node, explain bool) string {
+	t := o.trace
 	if t == nil {
-		return
+		return ""
 	}
 	t.OrderNodeSpans(serialRanks(root))
 	t.SetPlanTree(plan.FormatAnnotated(root, func(n plan.Node, id int) string {
@@ -236,7 +231,11 @@ func finishTrace(t *obs.Trace, root plan.Node, sql, shape string) {
 		}
 		return a
 	}))
-	t.Finish(sql, shape)
+	t.Finish(o.st.sql, o.st.shape)
+	if !explain {
+		return ""
+	}
+	return t.Format()
 }
 
 // serialRanks maps each plan node's number (pre-order, the engine's

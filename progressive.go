@@ -7,21 +7,20 @@
 // Query with the same options.
 package gus
 
+// Layering: both QueryProgressive forms run the executor's stages
+// (exec.go) on a producer goroutine — resolve and bind exactly as Query
+// does, then an execute stage that drives internal/online's wave loop, or
+// for plans waves cannot split runs the one-shot engine pass and reports
+// it as a single final update, all inside one meter stage. Waves and
+// one-shot answers are priced by the same online.Price.
+
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"time"
 
 	"github.com/sampling-algebra/gus/internal/engine"
-	"github.com/sampling-algebra/gus/internal/estimator"
-	"github.com/sampling-algebra/gus/internal/expr"
-	"github.com/sampling-algebra/gus/internal/obs"
 	"github.com/sampling-algebra/gus/internal/online"
-	"github.com/sampling-algebra/gus/internal/plan"
-	"github.com/sampling-algebra/gus/internal/relation"
-	"github.com/sampling-algebra/gus/internal/sqlparse"
 )
 
 // UpdateValue is one SELECT item's state after a wave, mirroring Value.
@@ -110,18 +109,7 @@ type Update struct {
 // sub-sampling (WithVarianceSubsampling) is ignored: waves keep exact
 // moment accumulators instead.
 func (db *DB) QueryProgressive(ctx context.Context, sql string, opts ...Option) (<-chan Update, func() error) {
-	o := db.buildOptions(opts)
-	return db.progressiveStream(ctx, o, func() (*Stmt, []relation.Value, error) {
-		ppStart := time.Now()
-		st, hit, err := db.prepareCached(sql)
-		if err != nil {
-			return nil, nil, err
-		}
-		if o.trace != nil {
-			recordPlanSpan(o.trace, time.Since(ppStart), hit)
-		}
-		return st, nil, nil
-	})
+	return db.stream(ctx, stmtRef{sql: sql}, db.buildOptions(opts))
 }
 
 // QueryProgressive streams the prepared statement as online aggregation
@@ -129,17 +117,14 @@ func (db *DB) QueryProgressive(ctx context.Context, sql string, opts ...Option) 
 // the full contract). args follows Stmt.Query: positional parameter
 // values, with per-call Options mixed in freely.
 func (s *Stmt) QueryProgressive(ctx context.Context, args ...any) (<-chan Update, func() error) {
-	vals, opts, err := splitArgs(args)
-	o := s.db.buildOptions(opts)
-	return s.db.progressiveStream(ctx, o, func() (*Stmt, []relation.Value, error) {
-		return s, vals, err
-	})
+	ref, o := s.call(args)
+	return s.db.stream(ctx, ref, o)
 }
 
-// progressiveStream owns the producer goroutine and the wait contract
-// shared by the SQL and prepared-statement entry points; prepare defers
-// statement resolution into the stream so its errors surface through wait.
-func (db *DB) progressiveStream(ctx context.Context, o queryOptions, prepare func() (*Stmt, []relation.Value, error)) (<-chan Update, func() error) {
+// stream owns the producer goroutine and the wait contract shared by the
+// SQL and prepared-statement entry points. Every stage runs on the
+// goroutine, so resolve and bind errors surface through wait.
+func (db *DB) stream(ctx context.Context, ref stmtRef, o queryOptions) (<-chan Update, func() error) {
 	ch := make(chan Update)
 	done := make(chan struct{})
 	sctx, cancel := context.WithCancel(ctx)
@@ -148,12 +133,7 @@ func (db *DB) progressiveStream(ctx context.Context, o queryOptions, prepare fun
 		defer close(done)
 		defer close(ch)
 		defer cancel()
-		st, vals, err := prepare()
-		if err != nil {
-			runErr = err
-			return
-		}
-		runErr = db.runProgressive(sctx, st, vals, o, ch)
+		runErr = db.runProgressive(sctx, ref, o, ch)
 	}()
 	wait := func() error {
 		cancel()
@@ -168,100 +148,44 @@ func (db *DB) progressiveStream(ctx context.Context, o queryOptions, prepare fun
 	return ch, wait
 }
 
-// runProgressive parses, plans and drives the wave loop. The catalog
-// read-lock is held only through planning and wave preparation: a
-// prepared wave execution aliases the relation's immutable columnar
-// snapshot, so the stream itself runs lock-free and catalog writes are
-// never blocked behind a long-lived stream. (The one-shot fallback keeps
-// the lock for its run, exactly like Query.)
-func (db *DB) runProgressive(ctx context.Context, st *Stmt, vals []relation.Value, o queryOptions, ch chan<- Update) error {
-	o.args, o.prep = vals, st.prep
-	o.sm, o.sql, o.shape = st.sm, st.sql, st.shape
-	explain := st.tmpl.Explain()
-	if o.trace == nil && explain {
-		o.trace = &obs.Trace{}
+// runProgressive is the streaming executor. The catalog read-lock is held
+// through bind and wave preparation only: a prepared wave execution
+// aliases the relation's immutable columnar snapshot, so the stream itself
+// runs lock-free and catalog writes are never blocked behind a long-lived
+// stream. (A plan that runs once keeps the lock until its answer is
+// computed, exactly like Query.)
+func (db *DB) runProgressive(ctx context.Context, ref stmtRef, o queryOptions, ch chan<- Update) error {
+	st, err := db.resolve(ref, &o)
+	if err == nil && st.tmpl.GroupBy() != "" {
+		err = fmt.Errorf("gus: progressive execution does not support GROUP BY (run Query instead): %w", ErrUnsupported)
 	}
-	db.mu.RLock()
-	locked := true
-	unlock := func() {
-		if locked {
-			locked = false
-			db.mu.RUnlock()
-		}
-	}
-	defer unlock()
-	planned, err := st.tmpl.Bind(vals, sqlparse.PlannerOptions{
-		SystemBlockSize: o.systemBlockSize,
-		Seed:            o.seed,
-	})
 	if err != nil {
-		return err
+		return db.fail(&o, err)
 	}
-	if planned.GroupBy != "" {
-		return fmt.Errorf("gus: progressive execution does not support GROUP BY (run Query instead): %w", ErrUnsupported)
-	}
-	// Progressive streams benefit twice from a synopsis rewrite: waves
+	// Progressive streams benefit twice from bind's synopsis rewrite: waves
 	// cover the (much smaller) synopsis, so each refinement step costs
 	// proportionally less I/O for the same statistical claim.
-	planned.Root = db.applySynopses(planned.Root, &o)
-	planned.Root = pruneScanColumns(planned.Root, neededColumns(planned))
-	analysis, err := plan.Analyze(planned.Root)
+	db.mu.RLock()
+	b, err := db.bind(st, &o)
+	eng := o.engine(ctx)
+	var waves *engine.WaveExec
+	if err == nil {
+		waves, err = eng.PrepareWaves(b.Root, o.seed)
+	}
 	if err != nil {
-		return err
+		db.mu.RUnlock()
+		return db.fail(&o, err)
 	}
-	eng := engine.New(engine.Config{Workers: o.workers, Context: ctx, Params: o.args, Prepared: o.prep, Trace: o.trace, DisableZoneSkip: o.noZoneSkip})
-	waves, err := eng.PrepareWaves(planned.Root, o.seed)
-	if err != nil {
-		return err
-	}
-	if waves == nil {
-		err := db.progressiveFallback(ctx, planned, o, explain, ch)
-		if err == nil {
-			db.metrics.stopReasons.With(online.ReasonComplete).Inc()
-		}
-		return err
-	}
-	items, err := progressiveItems(planned.Aggregates)
-	if err != nil {
-		return err
-	}
-	method := estimator.Normal
-	if o.interval == ChebyshevInterval {
-		method = estimator.Chebyshev
-	}
-	ex := &online.Executor{
-		G:     analysis.G,
-		Waves: waves,
-		Items: items,
-		Trace: o.trace,
-		Cfg: online.Config{
-			WaveRows:    o.waveRows,
-			TargetRelCI: o.targetRelCI,
-			Deadline:    o.deadline,
-			MaxFraction: o.maxFraction,
-			Level:       o.level,
-			Method:      method,
-		},
-	}
-	// Wave batches alias the scan's immutable snapshot from here on;
-	// catalog writes may proceed while the stream runs.
-	unlock()
-	m := db.metrics
-	m.inFlight.Add(1)
-	start := time.Now()
-	canceled := false
 	var last online.Update
-	err = ex.Run(ctx, func(u online.Update) bool {
+	canceled := false
+	emit := func(u online.Update) bool {
 		last = u
-		out := fromOnlineUpdate(u)
-		if u.Done && o.trace != nil {
+		out := toUpdate(u)
+		if u.Done {
 			// The stream ends with this update: stamp the annotated plan
 			// tree now so a caller-held trace (and EXPLAIN ANALYZE output)
 			// is complete when the channel closes.
-			finishTrace(o.trace, planned.Root, o.sql, o.shape)
-			if explain {
-				out.ExplainText = o.trace.Format()
-			}
+			out.ExplainText = finishTrace(&o, b.Root, st.tmpl.Explain())
 		}
 		select {
 		case ch <- out:
@@ -270,124 +194,46 @@ func (db *DB) runProgressive(ctx context.Context, st *Stmt, vals []relation.Valu
 			canceled = true
 			return false
 		}
+	}
+	return db.meter(&o, func() (tally, error) {
+		var err error
+		if waves == nil {
+			var u online.Update
+			u, err = finalUpdate(eng, b, &o)
+			db.mu.RUnlock()
+			if err == nil {
+				emit(u)
+			}
+		} else {
+			// Wave batches alias the scan's immutable snapshot; catalog
+			// writes may proceed while the stream runs.
+			db.mu.RUnlock()
+			err = (&online.Executor{
+				G:     b.analysis.G,
+				Waves: waves,
+				Items: b.items,
+				Trace: o.trace,
+				Cfg: online.Config{
+					WaveRows:    o.waveRows,
+					TargetRelCI: o.targetRelCI,
+					Deadline:    o.deadline,
+					MaxFraction: o.maxFraction,
+					Level:       o.level,
+					Method:      o.ciMethod(),
+				},
+			}).Run(ctx, emit)
+		}
+		if err == nil && canceled {
+			err = ctx.Err()
+		}
+		return tally{scanned: last.RowsScanned, sampled: last.SampleRows, skipped: eng.PartitionsSkipped(), reason: last.Reason}, err
 	})
-	secs := time.Since(start).Seconds()
-	m.inFlight.Add(-1)
-	m.querySecs.Observe(secs)
-	if o.sm != nil {
-		o.sm.seconds.Observe(secs)
-	}
-	if err != nil || canceled {
-		m.queriesErr.Inc()
-		if o.sm != nil {
-			o.sm.errors.Inc()
-		}
-		if err != nil {
-			return err
-		}
-		return ctx.Err()
-	}
-	m.queriesOK.Inc()
-	if o.sm != nil {
-		o.sm.queries.Inc()
-	}
-	m.rowsScanned.Add(uint64(last.RowsScanned))
-	m.sampleRows.Add(uint64(last.SampleRows))
-	m.partsSkipped.Add(uint64(eng.PartitionsSkipped()))
-	if last.RowsScanned > 0 {
-		m.sampleFrac.Observe(float64(last.SampleRows) / float64(last.RowsScanned))
-	}
-	if last.Reason != "" {
-		m.stopReasons.With(last.Reason).Inc()
-	}
-	return nil
 }
 
-// progressiveFallback serves plan shapes the wave executor cannot split
-// (joins, unions, WOR): the query runs once — still cancellable via the
-// engine's context — and its answer streams as a single Final update.
-func (db *DB) progressiveFallback(ctx context.Context, planned *sqlparse.Planned, o queryOptions, explain bool, ch chan<- Update) error {
-	res, err := db.run(ctx, planned, o)
-	if err != nil {
-		return err
-	}
-	u := Update{
-		FractionScanned: 1,
-		RowsScanned:     res.scannedRows,
-		SampleRows:      res.SampleRows,
-		Final:           true,
-		Done:            true,
-		Reason:          online.ReasonComplete,
-	}
-	for _, v := range res.Values {
-		half := (v.CIHigh - v.CILow) / 2
-		rel := math.Inf(1)
-		if v.Estimate != 0 && !math.IsNaN(v.Estimate) {
-			rel = half / math.Abs(v.Estimate)
-		}
-		u.Values = append(u.Values, UpdateValue{
-			Name: v.Name, Kind: v.Kind,
-			Value: v.Value, Estimate: v.Estimate, StdErr: v.StdErr,
-			CILow: v.CILow, CIHigh: v.CIHigh,
-			Approximate:  v.Approximate,
-			RelHalfWidth: rel,
-			Reliability:  v.Reliability,
-			VarianceRSE:  v.VarianceRSE,
-		})
-	}
-	if len(u.Values) > 0 {
-		u.Estimate, u.StdErr = u.Values[0].Estimate, u.Values[0].StdErr
-		u.CILow, u.CIHigh = u.Values[0].CILow, u.Values[0].CIHigh
-	}
-	if explain {
-		u.ExplainText = o.trace.Format()
-	}
-	select {
-	case ch <- u:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// progressiveItems translates planned SELECT aggregates into online items,
-// mirroring evalAggregate's naming and COUNT/AVG handling.
-func progressiveItems(aggs []sqlparse.Aggregate) ([]online.Item, error) {
-	items := make([]online.Item, 0, len(aggs))
-	for i, agg := range aggs {
-		name := agg.Alias
-		if name == "" {
-			name = fmt.Sprintf("col%d", i+1)
-		}
-		it := online.Item{
-			Name:        name,
-			Kind:        agg.Kind.String(),
-			HasQuantile: agg.HasQuantile,
-			Quantile:    agg.Quantile,
-		}
-		switch agg.Kind {
-		case sqlparse.AggSum, sqlparse.AggCount:
-			it.F = agg.Arg
-			if it.F == nil || agg.Kind == sqlparse.AggCount {
-				it.F = expr.Int(1)
-			}
-		case sqlparse.AggAvg:
-			if agg.Arg == nil {
-				return nil, fmt.Errorf("gus: AVG(*) is not valid SQL")
-			}
-			it.F, it.Ratio, it.Den = agg.Arg, true, expr.Int(1)
-		default:
-			return nil, fmt.Errorf("gus: unsupported aggregate %v", agg.Kind)
-		}
-		if agg.HasQuantile {
-			it.Kind = fmt.Sprintf("QUANTILE(%s,%g)", agg.Kind, agg.Quantile)
-		}
-		items = append(items, it)
-	}
-	return items, nil
-}
-
-func fromOnlineUpdate(u online.Update) Update {
+// toUpdate renders an online update in the public shape. The top-level
+// estimator fields mirror Values[0]; online.ValueUpdate has exactly
+// UpdateValue's fields, so each value is a plain conversion.
+func toUpdate(u online.Update) Update {
 	out := Update{
 		Wave:            u.Wave,
 		FractionScanned: u.FractionScanned,
@@ -396,21 +242,14 @@ func fromOnlineUpdate(u online.Update) Update {
 		Final:           u.Final,
 		Done:            u.Done,
 		Reason:          u.Reason,
-		Estimate:        u.Estimate,
-		StdErr:          u.StdErr,
-		CILow:           u.CILow,
-		CIHigh:          u.CIHigh,
+		Values:          make([]UpdateValue, len(u.Values)),
 	}
-	for _, v := range u.Values {
-		out.Values = append(out.Values, UpdateValue{
-			Name: v.Name, Kind: v.Kind,
-			Value: v.Value, Estimate: v.Estimate, StdErr: v.StdErr,
-			CILow: v.CILow, CIHigh: v.CIHigh,
-			Approximate:  v.Approximate,
-			RelHalfWidth: v.RelHalfWidth,
-			Reliability:  v.Reliability,
-			VarianceRSE:  v.VarianceRSE,
-		})
+	for i, v := range u.Values {
+		out.Values[i] = UpdateValue(v)
+	}
+	if len(out.Values) > 0 {
+		top := out.Values[0]
+		out.Estimate, out.StdErr, out.CILow, out.CIHigh = top.Estimate, top.StdErr, top.CILow, top.CIHigh
 	}
 	return out
 }

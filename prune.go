@@ -6,10 +6,11 @@ package gus
 // materializes sampled tuples only that wide (batch.Narrow), which on a
 // TPC-H Q1-style query is the difference between gathering all sixteen
 // lineitem columns per sampled tuple and the two the SUM touches. Like
-// the synopsis rewrite it runs on the freshly bound plan, cloning the
-// spine so cached templates stay untouched; it never changes plan shape
-// or node numbering, so seeded sampling realizations are bit-identical
-// with pruning on or off.
+// the synopsis rewrite it runs on the freshly bound plan through
+// plan.Rewrite, which copies only the spine above a narrowed scan, so
+// cached templates stay untouched; it never changes plan shape or node
+// numbering, so seeded sampling realizations are bit-identical with
+// pruning on or off.
 
 import (
 	"github.com/sampling-algebra/gus/internal/expr"
@@ -53,37 +54,24 @@ func neededColumns(p *sqlparse.Planned) map[string]bool {
 	return need
 }
 
-// pruneScanColumns clones the plan with each scan's Cols set to the
-// needed subset of its schema, in schema order. A scan whose columns are
-// all needed keeps Cols nil (no narrowing); a scan none of whose columns
-// are referenced (COUNT(*)) keeps its first column as the row spine.
+// pruneScanColumns sets each scan's Cols to the needed subset of its
+// schema, in schema order. A scan whose columns are all needed keeps Cols
+// nil (no narrowing); a scan none of whose columns are referenced
+// (COUNT(*)) keeps its first column as the row spine.
 func pruneScanColumns(n plan.Node, need map[string]bool) plan.Node {
-	switch t := n.(type) {
-	case *plan.Scan:
-		cols := prunedCols(t, need)
-		if cols == nil {
-			return t
+	return plan.Rewrite(n, func(n plan.Node) plan.Node {
+		s, ok := n.(*plan.Scan)
+		if !ok {
+			return n
 		}
-		return &plan.Scan{Rel: t.Rel, Alias: t.Alias, Synopsis: t.Synopsis, FullRows: t.FullRows, Cols: cols}
-	case *plan.Sample:
-		return &plan.Sample{Input: pruneScanColumns(t.Input, need), Method: t.Method}
-	case *plan.GUS:
-		return &plan.GUS{Input: pruneScanColumns(t.Input, need), G: t.G}
-	case *plan.Select:
-		return &plan.Select{Input: pruneScanColumns(t.Input, need), Pred: t.Pred}
-	case *plan.Join:
-		return &plan.Join{Left: pruneScanColumns(t.Left, need), Right: pruneScanColumns(t.Right, need), LeftCol: t.LeftCol, RightCol: t.RightCol}
-	case *plan.Theta:
-		return &plan.Theta{Left: pruneScanColumns(t.Left, need), Right: pruneScanColumns(t.Right, need), Pred: t.Pred}
-	case *plan.Project:
-		return &plan.Project{Input: pruneScanColumns(t.Input, need), Names: t.Names, Exprs: t.Exprs}
-	case *plan.Union:
-		return &plan.Union{Left: pruneScanColumns(t.Left, need), Right: pruneScanColumns(t.Right, need)}
-	case *plan.Intersect:
-		return &plan.Intersect{Left: pruneScanColumns(t.Left, need), Right: pruneScanColumns(t.Right, need)}
-	default:
-		return n
-	}
+		cols := prunedCols(s, need)
+		if cols == nil {
+			return s
+		}
+		c := *s
+		c.Cols = cols
+		return &c
+	})
 }
 
 func prunedCols(s *plan.Scan, need map[string]bool) []string {

@@ -18,6 +18,12 @@
 // LoadCSV, AttachTPCH, Insert), so a write never serves a stale plan.
 package gus
 
+// Layering: a Stmt is what the executor's resolve stage (exec.go) yields —
+// db.Query/Exact/Robustness/QueryProgressive look theirs up in the plan
+// cache by normalized text, Stmt methods hand in the receiver — and every
+// execution then runs the same bind → execute → meter stages, binding its
+// values into a fresh plan per call.
+
 import (
 	"container/list"
 	"context"
@@ -27,7 +33,6 @@ import (
 	"sync/atomic"
 
 	"github.com/sampling-algebra/gus/internal/engine"
-	"github.com/sampling-algebra/gus/internal/plan"
 	"github.com/sampling-algebra/gus/internal/relation"
 	"github.com/sampling-algebra/gus/internal/sqlparse"
 )
@@ -102,68 +107,24 @@ func (s *Stmt) NumParams() int { return s.tmpl.NumParams() }
 // Option values (WithSeed, WithWorkers, WithInterval, …) anywhere, which
 // apply to this call only.
 func (s *Stmt) Query(ctx context.Context, args ...any) (*Result, error) {
-	vals, opts, err := splitArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return s.exec(ctx, vals, s.db.buildOptions(opts), false)
+	ref, o := s.call(args)
+	return s.db.query(ctx, ref, o)
 }
 
 // Exact executes the statement with all sampling stripped — the true
 // answer for the bound parameters, mirroring db.Exact.
 func (s *Stmt) Exact(ctx context.Context, args ...any) (*Result, error) {
-	vals, opts, err := splitArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return s.exec(ctx, vals, s.db.buildOptions(opts), true)
+	ref, o := s.call(args)
+	o.exact = true
+	return s.db.query(ctx, ref, o)
 }
 
-// exec binds the plan template and runs it. The catalog read-lock is held
-// for the duration, like db.Query.
-func (s *Stmt) exec(ctx context.Context, vals []relation.Value, o queryOptions, exact bool) (*Result, error) {
-	o.args, o.prep = vals, s.prep
-	o.sm, o.sql, o.shape = s.sm, s.sql, s.shape
-	if o.trace == nil && s.tmpl.Explain() {
-		// EXPLAIN ANALYZE through a directly-Prepared Stmt: no trace was
-		// attached upstream, so allocate one here for the rendered output.
-		o.trace = &Trace{}
-	}
-	s.db.mu.RLock()
-	defer s.db.mu.RUnlock()
-	planned, err := s.tmpl.Bind(vals, sqlparse.PlannerOptions{
-		SystemBlockSize: o.systemBlockSize,
-		Seed:            o.seed,
-	})
-	if err != nil {
-		s.db.metrics.queriesErr.Inc()
-		if o.sm != nil {
-			o.sm.errors.Inc()
-		}
-		return nil, err
-	}
-	if exact {
-		planned.Root = plan.StripSampling(planned.Root)
-	} else {
-		// Serve sampled scans from materialized synopses where the
-		// subsumption check allows (see synopsis.go). Applied to the
-		// freshly bound plan on every execution — never to the cached
-		// template — so creating or dropping a synopsis needs no cache
-		// invalidation, and exact runs always scan base tables.
-		planned.Root = s.db.applySynopses(planned.Root, &o)
-	}
-	// Narrow every scan to the columns the query reads (see prune.go) —
-	// applied after the synopsis rewrite so a substituted synopsis scan
-	// is narrowed the same way its base table would be.
-	planned.Root = pruneScanColumns(planned.Root, neededColumns(planned))
-	res, err := s.db.run(ctx, planned, o)
-	if err != nil {
-		return nil, err
-	}
-	if s.tmpl.Explain() {
-		res.ExplainText = o.trace.Format()
-	}
-	return res, nil
+// call splits a Stmt call's arguments (see Query) into what the executor
+// runs — the statement with its bound values, or the argument error that
+// fails the call — and the call's options.
+func (s *Stmt) call(args []any) (stmtRef, queryOptions) {
+	vals, opts, err := splitArgs(args)
+	return stmtRef{st: s, vals: vals, err: err}, s.db.buildOptions(opts)
 }
 
 // splitArgs separates a Stmt call's variadic arguments into positional
@@ -267,8 +228,7 @@ func (db *DB) SetPlanCacheCap(n int) {
 // The key is the normalized statement text, so formatting differences hit
 // the same entry.
 func (db *DB) PrepareCached(sql string) (*Stmt, error) {
-	st, _, err := db.prepareCached(sql)
-	return st, err
+	return db.PrepareCachedTrace(sql, nil)
 }
 
 // prepareCached additionally reports whether the statement came from the

@@ -9,7 +9,6 @@
 package gus
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -237,7 +236,7 @@ func parseAttachSegment(sql string) (string, bool) {
 
 // execAttachSegment runs an intercepted ATTACH SEGMENT statement: a file
 // path attaches one segment, a directory attaches every segment in it.
-func (db *DB) execAttachSegment(_ context.Context, path string, o queryOptions) (*Result, error) {
+func (db *DB) execAttachSegment(sql, path string, o queryOptions) (*Result, error) {
 	sp := o.trace.Begin("attach-segment", path, -1)
 	before := len(db.TableNames())
 	fi, err := os.Stat(path)
@@ -247,14 +246,13 @@ func (db *DB) execAttachSegment(_ context.Context, path string, o queryOptions) 
 		err = db.AttachSegment(path)
 	}
 	if err != nil {
-		db.metrics.queriesErr.Inc()
-		return nil, err
+		return nil, db.fail(&o, err)
 	}
 	names := db.TableNames()
 	o.trace.End(sp, -1, int64(len(names)-before))
 	if o.trace != nil {
 		o.trace.SetPlanTree(fmt.Sprintf("AttachSegment(%s)", path))
-		o.trace.Finish(o.sql, "attach segment ?")
+		o.trace.Finish(sql, "attach segment ?")
 	}
 	res := &Result{PlanText: fmt.Sprintf("AttachSegment(%s): %d tables attached", path, len(names)-before)}
 	if o.trace != nil {

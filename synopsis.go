@@ -249,37 +249,19 @@ func (db *DB) maintainSynopses(rel *relation.Relation) error {
 // Scan(synopsis))) when a synopsis over T subsumes m. The GUS node asserts
 // what the synopsis IS (a Bernoulli(q) sample of T); the residual performs
 // the remaining Bernoulli(p/q); compaction proves the stack equals the
-// original Bernoulli(p). Called per execution with db.mu read-held, on
-// the freshly bound plan — cached templates stay synopsis-agnostic.
+// original Bernoulli(p). Called by bind with db.mu read-held, on the
+// freshly bound plan — cached templates stay synopsis-agnostic.
 func (db *DB) applySynopses(n plan.Node, o *queryOptions) plan.Node {
-	switch t := n.(type) {
-	case *plan.Sample:
-		if scan, ok := t.Input.(*plan.Scan); ok && scan.Synopsis == "" {
-			if repl := db.trySynopsis(t, scan, o); repl != nil {
-				return repl
+	return plan.Rewrite(n, func(n plan.Node) plan.Node {
+		if s, ok := n.(*plan.Sample); ok {
+			if scan, ok := s.Input.(*plan.Scan); ok && scan.Synopsis == "" {
+				if repl := db.trySynopsis(s, scan, o); repl != nil {
+					return repl
+				}
 			}
-			return t
 		}
-		return &plan.Sample{Input: db.applySynopses(t.Input, o), Method: t.Method}
-	case *plan.Scan:
-		return t
-	case *plan.GUS:
-		return &plan.GUS{Input: db.applySynopses(t.Input, o), G: t.G}
-	case *plan.Select:
-		return &plan.Select{Input: db.applySynopses(t.Input, o), Pred: t.Pred}
-	case *plan.Join:
-		return &plan.Join{Left: db.applySynopses(t.Left, o), Right: db.applySynopses(t.Right, o), LeftCol: t.LeftCol, RightCol: t.RightCol}
-	case *plan.Theta:
-		return &plan.Theta{Left: db.applySynopses(t.Left, o), Right: db.applySynopses(t.Right, o), Pred: t.Pred}
-	case *plan.Project:
-		return &plan.Project{Input: db.applySynopses(t.Input, o), Names: t.Names, Exprs: t.Exprs}
-	case *plan.Union:
-		return &plan.Union{Left: db.applySynopses(t.Left, o), Right: db.applySynopses(t.Right, o)}
-	case *plan.Intersect:
-		return &plan.Intersect{Left: db.applySynopses(t.Left, o), Right: db.applySynopses(t.Right, o)}
-	default:
 		return n
-	}
+	})
 }
 
 // missRank orders miss reasons by specificity, so a query probing several
@@ -291,11 +273,7 @@ var missRank = map[string]int{"rate": 4, "seed": 3, "stale": 2, "method": 1}
 // lands in gus_synopsis_hits_total / gus_synopsis_misses_total{reason}
 // and, when a trace rides along, in a "synopsis" span.
 func (db *DB) trySynopsis(s *plan.Sample, scan *plan.Scan, o *queryOptions) plan.Node {
-	srcName := scan.Rel.Name()
-	alias := srcName
-	if scan.Alias != "" {
-		alias = scan.Alias
-	}
+	srcName, alias := scan.Rel.Name(), scan.LineageName()
 	miss := func(reason string) plan.Node {
 		db.metrics.synMisses.With(reason).Inc()
 		if o.trace != nil {

@@ -246,10 +246,102 @@ func TestExplainAnalyze(t *testing.T) {
 	if last.ExplainText == "" {
 		t.Fatalf("progressive EXPLAIN ANALYZE: no ExplainText on Done update %+v", last)
 	}
-	for _, w := range []string{"wave", "total:"} {
+	for _, w := range []string{"parse+plan", "wave", "total:"} {
 		if !strings.Contains(last.ExplainText, w) {
 			t.Fatalf("progressive EXPLAIN ANALYZE missing %q:\n%s", w, last.ExplainText)
 		}
+	}
+}
+
+// TestProgressiveStageSpansMatchQuery: every entry point runs the same
+// executor stages, so the spans they record before the engine's —
+// parse+plan, synopsis, gus-compact — are the same, in the same order, for
+// db.Query, a streamed single-table QueryProgressive and a join that falls
+// back to one run.
+func TestProgressiveStageSpansMatchQuery(t *testing.T) {
+	db := obsTestDB(t)
+	stages := func(tr *Trace) string {
+		var out []string
+		for _, s := range tr.Spans {
+			switch s.Name {
+			case "parse+plan", "synopsis", "gus-compact":
+				out = append(out, s.Name)
+			}
+		}
+		return strings.Join(out, " ")
+	}
+	const want = "parse+plan synopsis gus-compact"
+	for _, tc := range []struct{ name, sql string }{{"single-table", obsPointSQL}, {"join fallback", obsJoinSQL}} {
+		tr := &Trace{}
+		if _, err := db.Query(tc.sql, WithSeed(4), WithTrace(tr)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := stages(tr); got != want {
+			t.Fatalf("%s: Query stage spans [%s], want [%s]", tc.name, got, want)
+		}
+		tr = &Trace{}
+		ch, wait := db.QueryProgressive(context.Background(), tc.sql, WithSeed(4), WithWaveRows(512), WithTrace(tr))
+		if _, err := drain(ch, wait); err != nil {
+			t.Fatalf("%s progressive: %v", tc.name, err)
+		}
+		if got := stages(tr); got != want {
+			t.Fatalf("%s: QueryProgressive stage spans [%s], want Query's [%s]", tc.name, got, want)
+		}
+	}
+}
+
+// TestProgressiveFailuresCountedLikeQuery: a statement that fails before
+// answering moves gus_queries_total{status="error"} — and, once the
+// statement has planned, its shape's error counter — by exactly one,
+// whichever entry point ran it. GROUP BY fails only when streamed.
+func TestProgressiveFailuresCountedLikeQuery(t *testing.T) {
+	db := obsTestDB(t)
+	metric := func(name, label string) float64 {
+		for _, m := range db.MetricsSnapshot() {
+			if m.Name == name && m.Label == label {
+				return m.Value
+			}
+		}
+		return 0
+	}
+	query := func(sql string) error {
+		_, err := db.Query(sql)
+		return err
+	}
+	stream := func(sql string) error {
+		_, err := drain(db.QueryProgressive(context.Background(), sql))
+		return err
+	}
+	for _, tc := range []struct {
+		name, sql string
+		planned   bool // the statement reaches a shape slot
+		runs      []func(string) error
+	}{
+		{"unknown table", `SELECT SUM(v) FROM missing`, false, []func(string) error{query, stream}},
+		{"bind", `SELECT SUM(v) FROM fact WHERE v > ?`, true, []func(string) error{query, stream}},
+		{"group by", obsGroupSQL, true, []func(string) error{stream}},
+		{"evaluation", `SELECT SUM(v) FROM fact TABLESAMPLE BERNOULLI(30) WHERE v > 'x'`, true, []func(string) error{query, stream}},
+	} {
+		shape := sqlparse.Normalize(tc.sql)
+		for i, run := range tc.runs {
+			errs, shapeErrs := metric("gus_queries_total", "error"), metric("gus_shape_errors_total", shape)
+			if err := run(tc.sql); err == nil {
+				t.Fatalf("%s run %d: no error", tc.name, i)
+			}
+			if d := metric("gus_queries_total", "error") - errs; d != 1 {
+				t.Errorf("%s run %d: gus_queries_total{error} moved by %v, want 1", tc.name, i, d)
+			}
+			want := 0.0
+			if tc.planned {
+				want = 1
+			}
+			if d := metric("gus_shape_errors_total", shape) - shapeErrs; d != want {
+				t.Errorf("%s run %d: shape error counter moved by %v, want %v", tc.name, i, d, want)
+			}
+		}
+	}
+	if m := metric("gus_in_flight_queries", ""); m != 0 {
+		t.Fatalf("gus_in_flight_queries = %v after failures, want 0", m)
 	}
 }
 
