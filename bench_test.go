@@ -229,7 +229,7 @@ func BenchmarkVarianceEstimation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows, err := plan.Execute(n, stats.NewRNG(1))
+	rows, err := plan.Execute(n, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func BenchmarkExecuteQuery1(b *testing.B) {
 	n := query1PlanForBench(b, 8000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.Execute(n, stats.NewRNG(uint64(i))); err != nil {
+		if _, err := plan.Execute(n, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

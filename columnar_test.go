@@ -1,63 +1,104 @@
 package gus
 
 // Tests for the engine as seen through the public API: every query must
-// reproduce the frozen results of the row-at-a-time engine it replaced,
-// GROUP BY keys must order numerically, and QUANTILE answers must follow
-// the query's interval method.
+// reproduce the serial reference executor's answer, GROUP BY keys must
+// order numerically, and QUANTILE answers must follow the query's interval
+// method.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
+	"github.com/sampling-algebra/gus/internal/estimator"
+	"github.com/sampling-algebra/gus/internal/online"
+	"github.com/sampling-algebra/gus/internal/ops"
+	"github.com/sampling-algebra/gus/internal/plan"
+	"github.com/sampling-algebra/gus/internal/relation"
 	"github.com/sampling-algebra/gus/internal/stats"
 )
 
-// resultDigest is a SHA-256 over a canonical rendering of a result:
-// SampleRows, then per group its key and per value its name, kind and the
-// IEEE-754 bit patterns of Value, Estimate, StdErr, CILow, CIHigh and every
-// ŷ_S moment.
-func resultDigest(r *Result) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "rows %d\n", r.SampleRows)
-	values := func(vs []Value) {
-		for _, v := range vs {
-			fmt.Fprintf(h, "%s %s", v.Name, v.Kind)
-			for _, f := range append([]float64{v.Value, v.Estimate, v.StdErr, v.CILow, v.CIHigh}, v.yhat...) {
-				fmt.Fprintf(h, " %016x", math.Float64bits(f))
-			}
-			fmt.Fprintln(h)
-		}
-	}
-	values(r.Values)
-	for _, g := range r.Groups {
-		fmt.Fprintf(h, "group %q\n", g.Key)
-		values(g.Values)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// requireFrozen asserts r renders to the digest recorded under key in
-// frozenRowEngine.
-func requireFrozen(t *testing.T, key string, r *Result) {
+// reference answers sql under o the way the query executor does — the
+// same resolve and bind stages, so the same bound plan — but samples with
+// the serial plan.Execute and estimates every item from its rows with the
+// row-form estimator: a live oracle for the engine, the batch-fed
+// estimator and grouping together.
+func reference(t *testing.T, db *DB, sql string, o queryOptions) *Result {
 	t.Helper()
-	if d := resultDigest(r); d != frozenRowEngine[key] {
-		t.Errorf("%q: digest %s, frozen %s", key, d, frozenRowEngine[key])
+	st, err := db.resolve(stmtRef{sql: sql}, &o)
+	if err != nil {
+		t.Fatal(err)
 	}
+	db.mu.RLock()
+	b, err := db.bind(st, &o)
+	db.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := plan.Execute(b.Root, o.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := b.analysis.G
+	eopts := estimator.Options{MaxVarianceRows: o.maxVarianceRows, Seed: o.seed + 0x5b0c}
+	values := func(rows *ops.Rows) []Value {
+		var vs []Value
+		for _, it := range b.items {
+			var est, sd float64
+			var yhat []float64
+			if it.Ratio {
+				r, err := estimator.Ratio(g, rows, it.F, it.Den, eopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				est, sd = r.Estimate, r.StdDev()
+			} else {
+				r, err := estimator.Estimate(g, rows, it.F, eopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				est, sd, yhat = r.Estimate, r.StdDev(), r.YHat
+			}
+			vu := online.Price(it, est, sd, o.level, o.ciMethod())
+			vs = append(vs, Value{
+				Name: vu.Name, Kind: vu.Kind, Value: vu.Value, Estimate: vu.Estimate, StdErr: vu.StdErr,
+				CILow: vu.CILow, CIHigh: vu.CIHigh, Approximate: vu.Approximate, yhat: yhat,
+			})
+		}
+		return vs
+	}
+	res := &Result{SampleRows: rows.Len()}
+	if b.GroupBy == "" {
+		res.Values = values(rows)
+		return res
+	}
+	idx, ok := rows.Cols.Index(b.GroupBy)
+	if !ok {
+		t.Fatalf("no GROUP BY column %q", b.GroupBy)
+	}
+	groups := map[string]*ops.Rows{}
+	var keys []relation.Value
+	for _, r := range rows.Data {
+		k := r.Vals[idx].AsString()
+		if groups[k] == nil {
+			groups[k] = &ops.Rows{Cols: rows.Cols, LSch: rows.LSch}
+			keys = append(keys, r.Vals[idx])
+		}
+		groups[k].Data = append(groups[k].Data, r)
+	}
+	sort.Slice(keys, func(i, j int) bool { c, _ := keys[i].Compare(keys[j]); return c < 0 })
+	for _, k := range keys {
+		res.Groups = append(res.Groups, Group{Key: k.AsString(), Values: values(groups[k.AsString()])})
+	}
+	return res
 }
 
 // TestColumnarMatches asserts the engine + batch-fed estimator reproduce,
 // float for float across the query suite, seeds and worker counts, the
-// verdict of the parallel row-at-a-time engine that used to be the sampled
-// bit-oracle. That engine is gone; its results are frozen in
-// frozenRowEngine. plan.Execute cannot stand in — it draws from one
-// sequential stream, so it matches the engine only on sampling-free plans.
-// A live sampled oracle returns when ROADMAP's counter-based draws make
-// plan.Execute able to replay the engine's decisions.
+// reference answer: plan.Execute over the same bound plan, estimated with
+// the row-form estimator.
 func TestColumnarMatches(t *testing.T) {
 	db := testDB(t, 2500)
 	queries := []string{
@@ -72,43 +113,58 @@ func TestColumnarMatches(t *testing.T) {
 	}
 	for qi, sql := range queries {
 		for seed := uint64(1); seed <= 2; seed++ {
+			want := reference(t, db, sql, db.buildOptions([]Option{WithSeed(seed)}))
 			for _, w := range []int{1, 2, 4, 8} {
 				got, err := db.Query(sql, WithSeed(seed), WithWorkers(w))
 				if err != nil {
 					t.Fatalf("query %d seed %d workers %d: %v", qi, seed, w, err)
 				}
-				requireFrozen(t, fmt.Sprintf("query %d seed %d", qi, seed), got)
+				sameValues(t, fmt.Sprintf("query %d seed %d workers %d", qi, seed, w), got, want)
 			}
 		}
 	}
 }
 
 // TestColumnarMatchesAnalyses covers GROUP BY, Exact, Robustness and §7
-// variance sub-sampling against the same frozen verdict.
+// variance sub-sampling against the same reference.
 func TestColumnarMatchesAnalyses(t *testing.T) {
 	db := testDB(t, 1500)
 	groupSQL := `SELECT SUM(l_extendedprice) AS s, AVG(l_quantity) AS a
 	             FROM lineitem TABLESAMPLE (25 PERCENT) GROUP BY l_linenumber`
 	joinSQL := `SELECT SUM(l_extendedprice) FROM lineitem, orders WHERE l_orderkey = o_orderkey`
 	subSQL := `SELECT SUM(l_extendedprice) FROM lineitem TABLESAMPLE (50 PERCENT)`
-	for _, w := range []int{1, 2, 4, 8} {
-		cells := []struct {
-			key string
-			run func() (*Result, error)
-		}{
-			{"group by", func() (*Result, error) { return db.Query(groupSQL, WithSeed(3), WithWorkers(w)) }},
-			{"exact", func() (*Result, error) { return db.Exact(joinSQL, WithWorkers(w)) }},
-			{"robustness", func() (*Result, error) { return db.Robustness(joinSQL, 0.95, WithWorkers(w)) }},
-			{"subsample", func() (*Result, error) {
-				return db.Query(subSQL, WithSeed(2), WithWorkers(w), WithVarianceSubsampling(300))
-			}},
-		}
-		for _, c := range cells {
-			got, err := c.run()
+	cells := []struct {
+		key      string
+		sql      string
+		opts     []Option
+		exact    bool
+		survival float64
+	}{
+		{"group by", groupSQL, []Option{WithSeed(3)}, false, 0},
+		{"exact", joinSQL, nil, true, 0},
+		{"robustness", joinSQL, nil, false, 0.95},
+		{"subsample", subSQL, []Option{WithSeed(2), WithVarianceSubsampling(300)}, false, 0},
+	}
+	for _, c := range cells {
+		o := db.buildOptions(c.opts)
+		o.exact, o.survival = c.exact, c.survival
+		want := reference(t, db, c.sql, o)
+		for _, w := range []int{1, 2, 4, 8} {
+			opts := append(append([]Option{}, c.opts...), WithWorkers(w))
+			var got *Result
+			var err error
+			switch {
+			case c.exact:
+				got, err = db.Exact(c.sql, opts...)
+			case c.survival > 0:
+				got, err = db.Robustness(c.sql, c.survival, opts...)
+			default:
+				got, err = db.Query(c.sql, opts...)
+			}
 			if err != nil {
 				t.Fatalf("%s workers %d: %v", c.key, w, err)
 			}
-			requireFrozen(t, c.key, got)
+			sameValues(t, fmt.Sprintf("%s workers %d", c.key, w), got, want)
 		}
 	}
 }

@@ -62,7 +62,7 @@ func runOracleImport(pass *Pass) error {
 				case tail == "plan" && o.Name() == "Execute" && recv == nil:
 					pass.Reportf(sel.Pos(), "plan.Execute on the serve path: the serial reference executor is a test oracle; run plans on internal/engine")
 				case tail == "sampling" && o.Name() == "Apply" && recv != nil:
-					pass.Reportf(sel.Pos(), "sampling.Method.Apply on the serve path: the row-major samplers are a test oracle; the engine draws its own samples")
+					pass.Reportf(sel.Pos(), "sampling.Method.Apply on the serve path: the row-major samplers are a test oracle; the engine applies the same keep rules in its kernels")
 				}
 			}
 			return true

@@ -1,6 +1,6 @@
 // Columnar execution. Plans execute over typed batch.Batch columns with
-// morsel partitioning and per-(seed, node, partition) sampling decisions
-// (see the package comment for the determinism contract).
+// morsel partitioning and per-(seed, node, row) sampling decisions (see
+// the package comment for the determinism contract).
 //
 // The common TABLESAMPLE shape — scan → {Bernoulli, SYSTEM, lineage-hash}
 // sample → selections → optional projection — runs as ONE fused
@@ -13,7 +13,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/sampling-algebra/gus/internal/batch"
 	"github.com/sampling-algebra/gus/internal/expr"
@@ -23,14 +23,13 @@ import (
 	"github.com/sampling-algebra/gus/internal/plan"
 	"github.com/sampling-algebra/gus/internal/relation"
 	"github.com/sampling-algebra/gus/internal/sampling"
-	"github.com/sampling-algebra/gus/internal/stats"
 )
 
 // ExecuteBatch runs the plan and returns the result as a typed batch with
 // its lineage. seed drives all sampling decisions; the same (plan, seed)
 // yields the same batch regardless of Config.Workers.
 func (e *Engine) ExecuteBatch(root plan.Node, seed uint64) (*batch.Batch, error) {
-	ids := numberNodes(root)
+	ids := plan.NumberNodes(root)
 	return e.execB(root, seed, ids)
 }
 
@@ -64,7 +63,7 @@ func (e *Engine) execB(n plan.Node, seed uint64, ids map[plan.Node]uint64) (*bat
 			return nil, err
 		}
 		sp := e.trace.Begin("sample", t.Method.Name(), int(ids[n]))
-		out, err := e.execSampleB(t, in, mix(seed, ids[n], 0))
+		out, err := e.execSampleB(t, in, plan.SubSeed(seed, ids[n]))
 		if err != nil {
 			return nil, fmt.Errorf("engine: %s: %w", t.Label(), err)
 		}
@@ -184,7 +183,7 @@ func methodFraction(m sampling.Method) float64 {
 // pass-throughs) allowed anywhere in between.
 type fusedChain struct {
 	scan    *plan.Scan
-	sample  *plan.Sample // nil, or Bernoulli/Block/LineageHash/Residual directly above the scan
+	sample  *plan.Sample // nil, or a method other than WOR directly above the scan
 	preds   []expr.Expr  // in application (bottom-up) order
 	project *plan.Project
 }
@@ -212,12 +211,10 @@ func fusedChainOf(n plan.Node) *fusedChain {
 		c.preds[i], c.preds[j] = c.preds[j], c.preds[i]
 	}
 	if s, ok := n.(*plan.Sample); ok {
-		switch s.Method.(type) {
-		case *sampling.Bernoulli, *sampling.Block, *sampling.LineageHash, *sampling.Residual:
-			if _, isScan := stripGUS(s.Input).(*plan.Scan); isScan {
-				c.sample = s
-				n = stripGUS(s.Input)
-			}
+		_, isWOR := s.Method.(*sampling.WOR)
+		if _, isScan := stripGUS(s.Input).(*plan.Scan); isScan && !isWOR {
+			c.sample = s
+			n = stripGUS(s.Input)
 		}
 	}
 	scan, ok := n.(*plan.Scan)
@@ -298,7 +295,7 @@ func (e *Engine) prepareChain(c *fusedChain, seed uint64, ids map[plan.Node]uint
 		}
 	}
 	if c.sample != nil {
-		smp, err = newSampleStage(c.sample.Method, in, mix(seed, ids[c.sample], 0))
+		smp, err = newSampleStage(c.sample.Method, in, plan.SubSeed(seed, ids[c.sample]))
 		if err != nil {
 			return nil, nil, nil, nil, nil, fmt.Errorf("engine: %s: %w", c.sample.Label(), err)
 		}
@@ -328,67 +325,26 @@ func (e *Engine) compilePreds(preds []expr.Expr, schema *relation.Schema) ([]*ex
 	return out, nil
 }
 
-// sampleStage is the fusable part of a sampling operator: a per-row keep
-// decision that is a pure function of (sub-seed, partition, row index) or
-// of the row's lineage — never of other rows.
+// sampleStage is the fusable part of a sampling operator: its keep rule,
+// whose every decision is a pure function of (sub-seed, row index) or of
+// the row's lineage — never of other rows or of the partitioning.
 type sampleStage struct {
-	method sampling.Method
-	sub    uint64
-
-	bern *sampling.Bernoulli
-
-	block     *sampling.Block
-	blockSlot int // lineage slot rewritten to 1-based block IDs
-
-	lh      *sampling.LineageHash
-	lhSlots []int
-	lhRels  []string
-
-	res     *sampling.Residual
-	resSlot int // lineage slot the nested decision hashes
+	method  sampling.Method
+	rule    *sampling.Rule
+	branchy bool // selection-loop form for the method's keep fraction
 }
 
 // frac reports the stage's per-tuple inclusion fraction for tracing.
 func (s *sampleStage) frac() float64 { return methodFraction(s.method) }
 
+// newSampleStage binds m's keep rule to the input. WOR never gets here: its
+// rule keeps a global bottom K (see sampleWORB).
 func newSampleStage(m sampling.Method, in *batch.Batch, sub uint64) (*sampleStage, error) {
-	s := &sampleStage{method: m, sub: sub}
-	switch t := m.(type) {
-	case *sampling.Bernoulli:
-		if err := requireRelationB(in, t.Rel); err != nil {
-			return nil, err
-		}
-		s.bern = t
-	case *sampling.Block:
-		slot, ok := in.LSch.Index(t.Rel)
-		if !ok {
-			return nil, fmt.Errorf("input lineage %v does not include %q", in.LSch.Names(), t.Rel)
-		}
-		if in.LSch.Len() != 1 {
-			return nil, fmt.Errorf("SYSTEM sampling must be applied directly to a base relation")
-		}
-		s.block, s.blockSlot = t, slot
-	case *sampling.LineageHash:
-		rels := t.Relations()
-		slots := make([]int, len(rels))
-		for i, r := range rels {
-			sl, ok := in.LSch.Index(r)
-			if !ok {
-				return nil, fmt.Errorf("input lineage %v does not include %q", in.LSch.Names(), r)
-			}
-			slots[i] = sl
-		}
-		s.lh, s.lhSlots, s.lhRels = t, slots, rels
-	case *sampling.Residual:
-		slot, ok := in.LSch.Index(t.Rel)
-		if !ok {
-			return nil, fmt.Errorf("input lineage %v does not include %q", in.LSch.Names(), t.Rel)
-		}
-		s.res, s.resSlot = t, slot
-	default:
-		return nil, fmt.Errorf("unsupported sampling method %T", m)
+	r, err := sampling.RuleOf(m, in.LSch, sub)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &sampleStage{method: m, rule: r, branchy: branchySel(methodFraction(m))}, nil
 }
 
 // growSel extends sel with room for n more entries and returns it at full
@@ -414,19 +370,18 @@ func growSel(sel []int32, n int) []int32 {
 // the identical set: only the write pattern differs.
 func branchySel(frac float64) bool { return frac < 0.0625 || frac > 0.9375 }
 
-// selectSpan appends the kept row indices of span to sel. Every decision
-// is a pure function of (sub-seed, global partition index, row index) or
-// of the row's lineage; the two write patterns (see growSel / branchySel)
-// keep the identical set.
-func (s *sampleStage) selectSpan(in *batch.Batch, p int, span ops.Span, sel []int32) []int32 {
+// selectSpan appends the kept row indices of span to sel, deciding every
+// row by the stage's keep rule; the two write patterns (see growSel /
+// branchySel) keep the identical set.
+func (s *sampleStage) selectSpan(in *batch.Batch, span ops.Span, sel []int32) []int32 {
 	k := len(sel)
 	sel = growSel(sel, span.Hi-span.Lo)
-	switch {
-	case s.bern != nil:
-		rng := stats.NewRNG(mix(s.sub, 0, uint64(p)))
-		if branchySel(s.bern.P) {
+	r := s.rule
+	switch r.Keying {
+	case sampling.ByRow:
+		if s.branchy {
 			for i := span.Lo; i < span.Hi; i++ {
-				if rng.Bernoulli(s.bern.P) {
+				if r.KeepsRow(i) {
 					sel[k] = int32(i)
 					k++
 				}
@@ -435,68 +390,43 @@ func (s *sampleStage) selectSpan(in *batch.Batch, p int, span ops.Span, sel []in
 		}
 		for i := span.Lo; i < span.Hi; i++ {
 			sel[k] = int32(i)
-			if rng.Bernoulli(s.bern.P) {
+			if r.KeepsRow(i) {
 				k++
 			}
 		}
-	case s.block != nil:
+	case sampling.ByBlock:
 		for i := span.Lo; i < span.Hi; i++ {
-			if stats.HashID(s.sub, uint64(i/s.block.BlockSize)) < s.block.P {
+			if r.KeepsBlock(i) {
 				sel[k] = int32(i)
 				k++
 			}
 		}
-	case s.res != nil:
-		frac := s.res.P / s.res.Q
-		if s.res.Nested {
-			ids := in.Lin[s.resSlot]
-			if branchySel(frac) {
-				for i := span.Lo; i < span.Hi; i++ {
-					if s.res.Keeps(ids[i]) {
-						sel[k] = int32(i)
-						k++
-					}
-				}
-				return sel[:k]
-			}
+	default: // lineage-keyed: the first relation decides, the rest filter
+		lo, ids := k, in.Lin[r.Slots[0]]
+		if s.branchy {
 			for i := span.Lo; i < span.Hi; i++ {
-				sel[k] = int32(i)
-				if s.res.Keeps(ids[i]) {
-					k++
-				}
-			}
-			return sel[:k]
-		}
-		rng := stats.NewRNG(mix(s.sub, 0, uint64(p)))
-		if branchySel(frac) {
-			for i := span.Lo; i < span.Hi; i++ {
-				if rng.Bernoulli(frac) {
+				if r.KeepsID(0, ids[i]) {
 					sel[k] = int32(i)
 					k++
 				}
 			}
-			return sel[:k]
-		}
-		for i := span.Lo; i < span.Hi; i++ {
-			sel[k] = int32(i)
-			if rng.Bernoulli(frac) {
-				k++
-			}
-		}
-	default: // lineage hash
-		ids := make([][]lineage.TupleID, len(s.lhSlots))
-		for j, slot := range s.lhSlots {
-			ids[j] = in.Lin[slot]
-		}
-	rows:
-		for i := span.Lo; i < span.Hi; i++ {
-			for j, r := range s.lhRels {
-				if !s.lh.Keeps(r, ids[j][i]) {
-					continue rows
+		} else {
+			for i := span.Lo; i < span.Hi; i++ {
+				sel[k] = int32(i)
+				if r.KeepsID(0, ids[i]) {
+					k++
 				}
 			}
-			sel[k] = int32(i)
-			k++
+		}
+		for j := 1; j < len(r.Slots); j++ {
+			ids, kept := in.Lin[r.Slots[j]], lo
+			for _, i := range sel[lo:k] {
+				if r.KeepsID(j, ids[i]) {
+					sel[kept] = i
+					kept++
+				}
+			}
+			k = kept
 		}
 	}
 	return sel[:k]
@@ -563,19 +493,18 @@ func (e *Engine) pipe(in *batch.Batch, smp *sampleStage, preds []*expr.VecCompil
 // pipeWindow is pipe restricted to a window of consecutive input
 // partitions: spans must be a contiguous sub-slice of the input's full
 // partitioning and pBase the global index of spans[0]. Row indices stay
-// absolute (spans address the full input) and every sampling decision uses
-// the GLOBAL partition index, so the concatenation of windowed outputs
-// over a cover of the partitions is bit-identical to one full pipe — the
-// property progressive wave execution rests on.
+// absolute (spans address the full input) and every sampling decision is
+// keyed on them, so the concatenation of windowed outputs over a cover of
+// the partitions is bit-identical to one full pipe — the property
+// progressive wave execution rests on.
 //
 // When the input carries a zone map whose granularity matches the engine's
 // partition size, the pruner (if any) runs first per partition: a
 // partition some predicate provably rejects contributes zero rows without
 // its columns ever being touched — on an mmap-backed segment, without its
 // pages ever faulting in. Skipping is safe at any worker count and wave
-// cover because the per-partition sampling RNG is keyed on the global
-// partition index with no cross-partition state. The second return value
-// is the number of partitions skipped.
+// cover because no sampling decision depends on another row's. The second
+// return value is the number of partitions skipped.
 func (e *Engine) pipeWindow(in *batch.Batch, smp *sampleStage, preds []*expr.VecCompiled, proj *projSpec, zp *zonePruner, spans []ops.Span, pBase int) (*batch.Batch, int, error) {
 	zones := in.Zones
 	if zones == nil || zones.ZoneRows != e.partSize || e.noSkip {
@@ -612,7 +541,7 @@ func (e *Engine) pipeWindow(in *batch.Batch, smp *sampleStage, preds []*expr.Vec
 		rest := preds
 		switch {
 		case smp != nil:
-			sel = smp.selectSpan(in, pBase+p, span, sel)
+			sel = smp.selectSpan(in, span, sel)
 		case len(preds) > 0:
 			// First predicate over zero-copy span slices.
 			v, err := preds[0].EvalAllBind(spanCols(span), e.binds, span.Hi-span.Lo)
@@ -729,10 +658,10 @@ func (e *Engine) pipeWindow(in *batch.Batch, smp *sampleStage, preds []*expr.Vec
 				copy(out.Lin[s][off:off+counts[p]], in.Lin[s][span.Lo:span.Hi])
 				continue
 			}
-			if smp != nil && smp.block != nil && s == smp.blockSlot {
+			if smp != nil && smp.rule.Keying == sampling.ByBlock && s == smp.rule.Slot {
 				dst := out.Lin[s][off:]
 				for k, i := range sel {
-					dst[k] = lineage.TupleID(int(i)/smp.block.BlockSize + 1)
+					dst[k] = smp.rule.BlockID(int(i))
 				}
 				continue
 			}
@@ -793,12 +722,16 @@ func (e *Engine) execProjectB(in *batch.Batch, names []string, exprs []expr.Expr
 	return out, err
 }
 
-// execSampleB runs one sampling operator. Bernoulli, SYSTEM, lineage-hash
-// and residual reuse the fused kernel with only a sampling stage; WOR has
-// its own global top-K implementation.
+// execSampleB runs one sampling operator. Every method but WOR reuses the
+// fused kernel with only a sampling stage; WOR has its own global bottom-K
+// implementation.
 func (e *Engine) execSampleB(t *plan.Sample, in *batch.Batch, sub uint64) (*batch.Batch, error) {
 	if m, ok := t.Method.(*sampling.WOR); ok {
-		return e.sampleWORB(in, m, sub)
+		r, err := sampling.RuleOf(m, in.LSch, sub)
+		if err != nil {
+			return nil, err
+		}
+		return e.sampleWORB(in, r)
 	}
 	smp, err := newSampleStage(t.Method, in, sub)
 	if err != nil {
@@ -808,73 +741,33 @@ func (e *Engine) execSampleB(t *plan.Sample, in *batch.Batch, sub uint64) (*batc
 	return out, err
 }
 
-// worChoose picks the K-subset the priority-selection WOR keeps from n
-// input rows, in ascending input order: row i gets priority HashID(sub, i)
-// — i.i.d. uniform — and the K smallest priorities win, which is a uniform
-// K-subset. Each partition pre-selects its K best candidates in parallel;
-// the coordinator merges the ≤ parts·K candidates and keeps the global K.
-func (e *Engine) worChoose(n, k int, sub uint64) ([]int, error) {
-	type cand struct {
-		pri float64
-		idx int
-	}
-	byPriority := func(c []cand) func(a, b int) bool {
-		return func(a, b int) bool {
-			if c[a].pri != c[b].pri {
-				return c[a].pri < c[b].pri
-			}
-			return c[a].idx < c[b].idx
-		}
+// sampleWORB draws WOR's uniform K-subset — the rows of the K smallest
+// ranks — and emits it in input order with one gather. Each partition
+// pre-selects its own bottom K in parallel; the coordinator keeps the
+// bottom K of the ≤ parts·K candidates, which is the input's bottom K.
+func (e *Engine) sampleWORB(in *batch.Batch, r *sampling.Rule) (*batch.Batch, error) {
+	n := in.Len()
+	if r.K >= n {
+		return in, nil
 	}
 	spans := ops.Partitions(n, e.partSize)
-	parts := make([][]cand, len(spans))
+	parts := make([][]sampling.Cand, len(spans))
 	err := e.forEach(len(spans), n, func(p int) error {
-		local := make([]cand, 0, spans[p].Hi-spans[p].Lo)
-		for i := spans[p].Lo; i < spans[p].Hi; i++ {
-			local = append(local, cand{pri: stats.HashID(sub, uint64(i)), idx: i})
-		}
-		sort.Slice(local, byPriority(local))
-		if len(local) > k {
-			local = local[:k]
-		}
-		parts[p] = local
+		parts[p] = r.Candidates(spans[p].Lo, spans[p].Hi)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var merged []cand
+	var merged []sampling.Cand
 	for _, p := range parts {
 		merged = append(merged, p...)
 	}
-	sort.Slice(merged, byPriority(merged))
-	chosen := make([]int, k)
-	for i := range chosen {
-		chosen[i] = merged[i].idx
+	sel := make([]int32, 0, r.K)
+	for _, c := range sampling.BottomK(merged, r.K) {
+		sel = append(sel, int32(c.Index))
 	}
-	sort.Ints(chosen)
-	return chosen, nil
-}
-
-// sampleWORB draws exactly K rows uniformly without replacement via
-// worChoose, emitting the sample in input order (as the serial WOR does)
-// with one gather.
-func (e *Engine) sampleWORB(in *batch.Batch, m *sampling.WOR, sub uint64) (*batch.Batch, error) {
-	if err := requireRelationB(in, m.Rel); err != nil {
-		return nil, err
-	}
-	n := in.Len()
-	if m.K >= n {
-		return in, nil
-	}
-	chosen, err := e.worChoose(n, m.K, sub)
-	if err != nil {
-		return nil, err
-	}
-	sel := make([]int32, len(chosen))
-	for i, c := range chosen {
-		sel[i] = int32(c)
-	}
+	slices.Sort(sel)
 	return in.Gather(sel), nil
 }
 
@@ -1209,13 +1102,4 @@ func alignToB(r, l *batch.Batch) (*batch.Batch, error) {
 		lin[slot[j]] = r.Lin[j]
 	}
 	return batch.New(l.Schema, l.LSch, r.Cols, lin, r.Len())
-}
-
-// requireRelationB checks that the batch's lineage schema covers the
-// sampled relation, matching the serial methods' error behavior.
-func requireRelationB(in *batch.Batch, rel string) error {
-	if _, ok := in.LSch.Index(rel); !ok {
-		return fmt.Errorf("input lineage %v does not include %q", in.LSch.Names(), rel)
-	}
-	return nil
 }

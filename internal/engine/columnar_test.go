@@ -1,18 +1,12 @@
 package engine
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"math"
 	"testing"
 
 	"github.com/sampling-algebra/gus/internal/expr"
-	"github.com/sampling-algebra/gus/internal/ops"
 	"github.com/sampling-algebra/gus/internal/plan"
-	"github.com/sampling-algebra/gus/internal/relation"
 	"github.com/sampling-algebra/gus/internal/sampling"
-	"github.com/sampling-algebra/gus/internal/stats"
 )
 
 // columnarPlans is a plan suite covering every columnar operator: fused
@@ -78,59 +72,17 @@ func columnarPlans(t *testing.T, orders int) map[string]plan.Node {
 	}
 }
 
-// rowsDigest is a SHA-256 over a canonical rendering of a result: column
-// names and kinds, lineage schema names, then every row's lineage IDs and values in
-// order, floats as their IEEE-754 bit patterns.
-func rowsDigest(rows *ops.Rows) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "cols %v lineage %q\n", rows.Cols.Columns(), rows.LSch.Names())
-	for _, r := range rows.Data {
-		fmt.Fprint(h, r.Lin)
-		for _, v := range r.Vals {
-			if v.Kind() == relation.KindFloat {
-				f, _ := v.AsFloat()
-				fmt.Fprintf(h, " f%016x", math.Float64bits(f))
-			} else {
-				fmt.Fprintf(h, " %s", v.Key())
-			}
-		}
-		fmt.Fprintln(h)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// TestColumnarMatches is the engine's core sampled regression: for every
-// plan shape, seed and worker count, ExecuteBatch must produce exactly the
-// rows — values, lineage and order — that the parallel row-at-a-time
-// executor produced before it was deleted, frozen in frozenRowPath.
-// plan.Execute cannot stand in: it draws from one sequential stream, so it
-// matches the engine only on sampling-free plans (see
-// TestColumnarMatchesSerialOracle). A live sampled oracle returns when
-// ROADMAP's counter-based draws make plan.Execute able to replay the
-// engine's decisions.
+// TestColumnarMatches is the engine's core regression: for every plan
+// shape — sampled by every method, and sampling-free — seed and worker
+// count, ExecuteBatch must produce exactly the rows (values, lineage and
+// order) the serial reference plan.Execute produces. Both executors decide
+// every sample by the methods' keep rules under the same per-node
+// sub-seeds, so the reference is a live oracle for sampled plans too.
 func TestColumnarMatches(t *testing.T) {
-	for name, p := range columnarPlans(t, 1500) {
-		for seed := uint64(1); seed <= 2; seed++ {
-			key := fmt.Sprintf("%s seed=%d", name, seed)
-			for _, w := range []int{1, 2, 4, 8} {
-				rows, err := execRows(New(Config{Workers: w, PartitionSize: 64, SerialCutoff: 1}), p, seed)
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", key, w, err)
-				}
-				if d := rowsDigest(rows); d != frozenRowPath[key] {
-					t.Errorf("%q workers=%d: digest %s, frozen %s", key, w, d, frozenRowPath[key])
-				}
-			}
-		}
-	}
-}
-
-// TestColumnarMatchesSerialOracle: for sampling-free plans — the shapes
-// GROUP BY and θ-join queries execute — the columnar path must reproduce
-// the serial plan.Execute reference row for row.
-func TestColumnarMatchesSerialOracle(t *testing.T) {
+	plans := columnarPlans(t, 1500)
 	tb := genTables(t, 1000)
-	plans := map[string]plan.Node{
+	for name, p := range map[string]plan.Node{
+		"scan": &plan.Scan{Rel: tb.Orders},
 		// The pre-aggregation plan of a GROUP BY query: selected scan with
 		// the grouping column intact.
 		"groupby-shape": &plan.Select{
@@ -164,17 +116,68 @@ func TestColumnarMatchesSerialOracle(t *testing.T) {
 			Names: []string{"x"},
 			Exprs: []expr.Expr{expr.Add(expr.Col("o_orderkey"), expr.Int(1))},
 		},
+	} {
+		plans[name] = p
 	}
 	for name, p := range plans {
-		want, err := plan.Execute(p, stats.NewRNG(1))
-		if err != nil {
-			t.Fatalf("%s: serial: %v", name, err)
+		for seed := uint64(1); seed <= 2; seed++ {
+			key := fmt.Sprintf("%s seed=%d", name, seed)
+			want, err := plan.Execute(p, seed)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", key, err)
+			}
+			for _, w := range []int{1, 2, 4, 8} {
+				got, err := execRows(New(Config{Workers: w, PartitionSize: 64, SerialCutoff: 1}), p, seed)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", key, w, err)
+				}
+				sameRows(t, fmt.Sprintf("%s workers=%d", key, w), want, got)
+			}
 		}
-		b, err := New(Config{Workers: 4, PartitionSize: 128, SerialCutoff: 1}).ExecuteBatch(p, 1)
-		if err != nil {
-			t.Fatalf("%s: columnar: %v", name, err)
+	}
+}
+
+// TestPartitionSizeInvariance: no sampling decision depends on the
+// partitioning, so sampled output is identical at any partition size —
+// one-shot, and concatenated from waves.
+func TestPartitionSizeInvariance(t *testing.T) {
+	tb := genTables(t, 1500)
+	bern, _ := sampling.NewBernoulli("lineitem", 0.3)
+	blk, _ := sampling.NewBlock("lineitem", 8, 0.4) // 8 divides 64, 1000 and 4096
+	wor, _ := sampling.NewWOR("lineitem", 700)
+	res := &sampling.Residual{Rel: "lineitem", P: 0.2, Q: 0.5}
+	scan := func(m sampling.Method) plan.Node {
+		return &plan.Select{
+			Input: &plan.Sample{Input: &plan.Scan{Rel: tb.Lineitem}, Method: m},
+			Pred:  expr.Gt(expr.Col("l_extendedprice"), expr.Float(50)),
 		}
-		sameRows(t, name, want, b.ToRows())
+	}
+	plans := map[string]plan.Node{
+		"bernoulli": scan(bern),
+		"system":    scan(blk),
+		"wor":       scan(wor),
+		"residual":  scan(res),
+	}
+	for name, p := range plans {
+		for seed := uint64(1); seed <= 2; seed++ {
+			key := fmt.Sprintf("%s seed=%d", name, seed)
+			want, err := execRows(New(Config{Workers: 2, PartitionSize: 64, SerialCutoff: 1}), p, seed)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			for _, ps := range []int{1000, 4096} {
+				e := New(Config{Workers: 2, PartitionSize: ps, SerialCutoff: 1})
+				got, err := execRows(e, p, seed)
+				if err != nil {
+					t.Fatalf("%s partition=%d: %v", key, ps, err)
+				}
+				sameRows(t, fmt.Sprintf("%s partition=%d", key, ps), want, got)
+				if name == "wor" {
+					continue // WOR keeps a global bottom K: no waves
+				}
+				sameRows(t, fmt.Sprintf("%s partition=%d waves", key, ps), want, waveRows(t, e, p, seed, 2))
+			}
+		}
 	}
 }
 
@@ -186,6 +189,10 @@ func TestColumnarErrors(t *testing.T) {
 	tb := genTables(t, 300)
 	blk, _ := sampling.NewBlock("lineitem", 16, 0.5)
 	bern, _ := sampling.NewBernoulli("orders", 0.5)
+	join := &plan.Join{
+		Left: &plan.Scan{Rel: tb.Lineitem}, Right: &plan.Scan{Rel: tb.Orders},
+		LeftCol: "l_orderkey", RightCol: "o_orderkey",
+	}
 	bad := map[string]plan.Node{
 		"unknown-column": &plan.Select{
 			Input: &plan.Scan{Rel: tb.Orders},
@@ -195,13 +202,10 @@ func TestColumnarErrors(t *testing.T) {
 			Left: &plan.Scan{Rel: tb.Orders}, Right: &plan.Scan{Rel: tb.Customer},
 			LeftCol: "nope", RightCol: "c_custkey",
 		},
-		"block-above-join": &plan.Sample{
-			Input: &plan.Join{
-				Left: &plan.Scan{Rel: tb.Lineitem}, Right: &plan.Scan{Rel: tb.Orders},
-				LeftCol: "l_orderkey", RightCol: "o_orderkey",
-			},
-			Method: blk,
-		},
+		"block-above-join": &plan.Sample{Input: join, Method: blk},
+		// Rows sharing an orders tuple would be kept independently: b_orders
+		// would be p², not Figure 1's p.
+		"bernoulli-above-join": &plan.Sample{Input: join, Method: bern},
 		"unknown-method": &plan.Sample{
 			Input:  &plan.Scan{Rel: tb.Orders},
 			Method: unknownMethod{bern},

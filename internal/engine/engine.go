@@ -8,18 +8,20 @@
 //
 //  1. partition boundaries depend only on the data and a fixed partition
 //     size, never on the worker count;
-//  2. every randomized decision is a pure function of (query seed, plan
-//     node id, partition index or row index) — workers own partitions, not
-//     random streams;
+//  2. every sampling decision is the method's keep rule
+//     (sampling.RuleOf): a pure function of (query seed, plan node number,
+//     input row index) or of the row's lineage — never of the partition,
+//     so a sample does not depend on the partition size either;
 //  3. per-partition outputs are concatenated in partition index order by
 //     the coordinator after all workers finish.
 //
 // GUS quasi-operators remain pass-throughs at execution time (§4.2 of the
 // paper); the engine changes how plans are *executed*, not what they mean.
 // The serial plan.Execute (over internal/ops and sampling.Method.Apply) is
-// the reference executor tests compare against: for plans without Sample
-// nodes the engine's output is row-for-row identical to it. It never runs
-// on a query path.
+// the reference executor tests compare against: it decides by the same
+// keep rules under the same sub-seeds (plan.NumberNodes, plan.SubSeed), so
+// for any plan, sampled or not, the engine's output is row-for-row
+// identical to it. It never runs on a query path.
 package engine
 
 import (
@@ -136,35 +138,6 @@ func (e *Engine) Workers() int { return e.workers }
 // (one-shot queries build one engine per run; progressive waves keep one
 // engine per stream, so the count accumulates over waves).
 func (e *Engine) PartitionsSkipped() int64 { return e.skipped.Load() }
-
-// NumberNodes exposes the engine's node numbering (pre-order walk) so
-// trace consumers can tie spans back to rendered plan trees.
-func NumberNodes(root plan.Node) map[plan.Node]uint64 { return numberNodes(root) }
-
-// numberNodes assigns each plan node a stable id by pre-order walk — the
-// per-node component of sampling sub-seeds. Rebuilding the same plan
-// yields the same numbering.
-func numberNodes(root plan.Node) map[plan.Node]uint64 {
-	ids := make(map[plan.Node]uint64)
-	var next uint64
-	plan.Walk(root, func(n plan.Node) {
-		if _, ok := ids[n]; !ok {
-			ids[n] = next
-			next++
-		}
-	})
-	return ids
-}
-
-// mix derives a sub-seed from the query seed, a plan node id and a
-// partition (or stream) index, using SplitMix64-style finalization so
-// nearby inputs yield decorrelated streams.
-func mix(seed, nodeID, part uint64) uint64 {
-	z := seed ^ (nodeID+1)*0x9e3779b97f4a7c15 ^ (part+1)*0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
 
 // forEach runs fn(p) for every partition index p ∈ [0, parts), fanning out
 // over the worker pool when the total row count justifies it (the serial

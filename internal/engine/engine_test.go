@@ -8,7 +8,6 @@ import (
 	"github.com/sampling-algebra/gus/internal/ops"
 	"github.com/sampling-algebra/gus/internal/plan"
 	"github.com/sampling-algebra/gus/internal/sampling"
-	"github.com/sampling-algebra/gus/internal/stats"
 	"github.com/sampling-algebra/gus/internal/tpch"
 )
 
@@ -114,40 +113,6 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestMatchesSerialExecutorWithoutSampling: for sampling-free plans the
-// engine must reproduce plan.Execute row for row.
-func TestMatchesSerialExecutorWithoutSampling(t *testing.T) {
-	tb := genTables(t, 1200)
-	plans := map[string]plan.Node{
-		"scan": &plan.Scan{Rel: tb.Orders},
-		"join-select": &plan.Select{
-			Input: &plan.Join{
-				Left:     &plan.Scan{Rel: tb.Lineitem},
-				Right:    &plan.Scan{Rel: tb.Orders},
-				LeftCol:  "l_orderkey",
-				RightCol: "o_orderkey",
-			},
-			Pred: expr.Gt(expr.Col("l_extendedprice"), expr.Float(50)),
-		},
-		"theta": &plan.Theta{
-			Left:  &plan.Scan{Rel: tb.Orders, Alias: "o"},
-			Right: &plan.Scan{Rel: tb.Customer, Alias: "c"},
-			Pred:  expr.Eq(expr.Col("o_custkey"), expr.Col("c_custkey")),
-		},
-	}
-	for name, p := range plans {
-		want, err := plan.Execute(p, stats.NewRNG(1))
-		if err != nil {
-			t.Fatalf("%s: serial: %v", name, err)
-		}
-		got, err := execRows(New(Config{Workers: 4, PartitionSize: 128, SerialCutoff: 1}), p, 1)
-		if err != nil {
-			t.Fatalf("%s: engine: %v", name, err)
-		}
-		sameRows(t, name, want, got)
-	}
-}
-
 // TestWORDrawsExactlyK checks the priority-selection WOR: exact sample
 // size, rows kept in input order, uniform coverage sanity.
 func TestWORDrawsExactlyK(t *testing.T) {
@@ -197,7 +162,7 @@ func TestWORDrawsExactlyK(t *testing.T) {
 	}
 }
 
-// TestBernoulliRate sanity-checks the per-partition sub-seeded Bernoulli.
+// TestBernoulliRate sanity-checks the row-keyed Bernoulli.
 func TestBernoulliRate(t *testing.T) {
 	tb := genTables(t, 4000)
 	bern, _ := sampling.NewBernoulli("lineitem", 0.25)

@@ -6,9 +6,9 @@
 // at once.
 //
 // Determinism contract: every wave runs the same fused kernel over the
-// same global partitioning as ExecuteBatch, with absolute row indices and
-// GLOBAL partition indices feeding the per-(seed, node, partition)
-// sampling sub-seeds. Concatenating the wave outputs for any cover of
+// same global partitioning as ExecuteBatch, and sampling decisions are
+// keyed on absolute row indices (or lineage), never on which wave reads
+// them. Concatenating the wave outputs for any cover of
 // [0, Partitions()) therefore yields bit-identical rows to one full
 // ExecuteBatch of the plan — running progressively changes WHEN rows are
 // produced, never WHICH rows.
@@ -45,7 +45,7 @@ type WaveExec struct {
 // to one-shot execution. seed must be the seed later waves are to be
 // bit-compatible with.
 func (e *Engine) PrepareWaves(root plan.Node, seed uint64) (*WaveExec, error) {
-	ids := numberNodes(root)
+	ids := plan.NumberNodes(root)
 	c := fusedChainOf(root)
 	if c == nil {
 		// A bare (possibly GUS-wrapped) scan is below fusedChainOf's

@@ -51,35 +51,37 @@ func TestWaveConcatBitIdentical(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			for _, waveParts := range []int{1, 3, 5} {
-				w, err := e.PrepareWaves(root, seed)
-				if err != nil {
-					t.Fatalf("%s: PrepareWaves: %v", name, err)
-				}
-				if w == nil {
-					t.Fatalf("%s: PrepareWaves declined a supported shape", name)
-				}
-				got := &ops.Rows{Cols: want.Schema, LSch: want.LSch}
-				rows := 0
-				for lo := 0; lo < w.Partitions(); lo += waveParts {
-					hi := lo + waveParts
-					if hi > w.Partitions() {
-						hi = w.Partitions()
-					}
-					b, err := w.ExecuteWave(lo, hi)
-					if err != nil {
-						t.Fatalf("%s: wave [%d,%d): %v", name, lo, hi, err)
-					}
-					rows += b.Len()
-					got.Data = append(got.Data, b.ToRows().Data...)
-				}
-				if rows != want.Len() {
-					t.Fatalf("%s (wave=%d): %d rows vs %d", name, waveParts, rows, want.Len())
-				}
 				sameRows(t, fmt.Sprintf("%s seed=%d wave=%d", name, seed, waveParts),
-					want.ToRows(), got)
+					want.ToRows(), waveRows(t, e, root, seed, waveParts))
 			}
 		}
 	}
+}
+
+// waveRows runs root wave by wave, waveParts partitions at a time, and
+// concatenates the waves' rows.
+func waveRows(t *testing.T, e *Engine, root plan.Node, seed uint64, waveParts int) *ops.Rows {
+	t.Helper()
+	w, err := e.PrepareWaves(root, seed)
+	if err != nil {
+		t.Fatalf("PrepareWaves: %v", err)
+	}
+	if w == nil {
+		t.Fatal("PrepareWaves declined a supported shape")
+	}
+	schema, err := w.OutSchema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := &ops.Rows{Cols: schema, LSch: w.in.LSch}
+	for lo := 0; lo < w.Partitions(); lo += waveParts {
+		b, err := w.ExecuteWave(lo, min(lo+waveParts, w.Partitions()))
+		if err != nil {
+			t.Fatalf("wave [%d,%d): %v", lo, lo+waveParts, err)
+		}
+		got.Data = append(got.Data, b.ToRows().Data...)
+	}
+	return got
 }
 
 // TestPrepareWavesDeclinesUnsupported: joins and WOR sampling cannot run

@@ -5,9 +5,9 @@
 // every row the zone admits — so skipping can never change which rows
 // survive, only avoid touching rows that provably would not.
 //
-// Skipping is statistically safe, not just row-safe: each partition's
-// sampling decisions come from an RNG seeded by (seed, node, GLOBAL
-// partition index) with no cross-partition state, so not executing a
+// Skipping is statistically safe, not just row-safe: every sampling
+// decision is a pure function of (seed, node, row index) or of the row's
+// lineage, with no state carried between rows, so not executing a
 // partition whose predicate rejects all rows leaves every other
 // partition's output — and therefore the estimator's sample — bit-exact.
 //

@@ -92,12 +92,8 @@ func sumFBatch(b *batch.Batch, f expr.Expr, opts Options) ([]float64, error) {
 	n := b.Len()
 	fs := make([]float64, n)
 	spans := ops.Partitions(n, opts.partitionSize())
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	//gus:ctx-ok pure CPU shard over a materialized batch, below cancellation granularity
-	err = ops.ForEachPart(workers, len(spans), func(p int) error {
+	err = ops.ForEachPart(opts.Workers, len(spans), func(p int) error {
 		span := spans[p]
 		cols := make([]expr.Vec, len(b.Cols))
 		for j, col := range b.Cols {

@@ -40,8 +40,8 @@ func Covariance(g *core.Params, lins []lineage.Vector, fs, gs []float64) (float6
 }
 
 // covarianceSrc is Covariance over per-slot lineage columns, with
-// accumulator options (Workers enables the partition-sharded bilinear
-// moments).
+// accumulator options (Workers spreads the partition-sharded bilinear
+// moments over goroutines).
 func covarianceSrc(g *core.Params, lin [][]lineage.TupleID, fs, gs []float64, opts Options) (float64, error) {
 	if g.A() == 0 {
 		return 0, fmt.Errorf("estimator: null GUS (a=0) has no covariance")

@@ -131,11 +131,11 @@ type Options struct {
 	MaxVarianceRows int
 	// Seed drives the sub-sampling pseudo-random function.
 	Seed uint64
-	// Workers, when positive, accumulates the Theorem-1 sums (Σf and the
-	// Y_S group moments) in partition-sharded accumulators merged in
-	// partition order. Results are bit-identical for every positive value
-	// — the shards are per-partition, not per-worker, and partitioning
-	// depends only on the data. Zero keeps the serial single-pass path.
+	// Workers is how many goroutines accumulate the Theorem-1 sums (Σf
+	// and the Y_S group moments) in partition-sharded accumulators merged
+	// in partition order; ≤ 1 runs them on the calling goroutine. Results
+	// are bit-identical for every value — the shards are per-partition,
+	// not per-worker, and partitioning depends only on the data.
 	Workers int
 	// PartitionSize overrides the accumulator morsel size (default
 	// ops.DefaultPartitionSize). Comparable runs must share it.
@@ -220,6 +220,23 @@ func Estimate(g *core.Params, rows *ops.Rows, f expr.Expr, opts Options) (*Resul
 			rows.LSch.Names(), g.Schema().Names())
 	}
 	return fromSource(g, rowColumns(rows), fs, opts)
+}
+
+// Ratio is RatioBatch over the reference executor's row-major sample.
+func Ratio(g *core.Params, rows *ops.Rows, num, den expr.Expr, opts Options) (*RatioResult, error) {
+	nfs, _, err := ops.SumF(rows, num)
+	if err != nil {
+		return nil, err
+	}
+	dfs, _, err := ops.SumF(rows, den)
+	if err != nil {
+		return nil, err
+	}
+	if !rows.LSch.Equal(g.Schema()) {
+		return nil, fmt.Errorf("estimator: sample lineage schema %v does not match GUS schema %v",
+			rows.LSch.Names(), g.Schema().Names())
+	}
+	return ratioSrc(g, rowColumns(rows), nfs, dfs, opts)
 }
 
 // FromLineage is the core SBox entry point: it needs only the lineage and
@@ -330,10 +347,13 @@ func maybeSubsample(g *core.Params, lin [][]lineage.TupleID, fs []float64, opts 
 	if err != nil {
 		return nil, nil, nil, false, err
 	}
-	// The method's relation order is sorted; map slots of g's schema.
+	rule, err := sampling.RuleOf(m, g.Schema(), 0)
+	if err != nil {
+		return nil, nil, nil, false, err
+	}
 	keep := func(i int) bool {
-		for slot := 0; slot < n; slot++ {
-			if !m.Keeps(g.Schema().Name(slot), lin[slot][i]) {
+		for j, slot := range rule.Slots {
+			if !rule.KeepsID(j, lin[slot][i]) {
 				return false
 			}
 		}

@@ -74,11 +74,11 @@ func drawSample(t *testing.T, it, gr *relation.Relation, p float64, k int, rng *
 	wg, _ := sampling.NewWOR("g", k)
 	irows, _ := ops.FromRelation(it, "")
 	grows, _ := ops.FromRelation(gr, "")
-	si, err := bi.Apply(irows, rng)
+	si, err := bi.Apply(irows, rng.Uint64())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg, err := wg.Apply(grows, rng)
+	sg, err := wg.Apply(grows, rng.Uint64())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestBlockSamplingCorrelationCaptured(t *testing.T) {
 	const trials = 3000
 	for i := 0; i < trials; i++ {
 		base, _ := ops.FromRelation(rel, "")
-		s, err := m.Apply(base, rng)
+		s, err := m.Apply(base, rng.Uint64())
 		if err != nil {
 			t.Fatal(err)
 		}

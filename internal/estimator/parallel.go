@@ -7,9 +7,9 @@
 //
 // Determinism: partition boundaries and merge order depend only on the
 // data and the partition size — never on the worker count — so every
-// positive Workers value produces bit-identical floats. Group totals are
-// enumerated in first-seen order (by partition, then by row). Workers ≤ 0
-// is the same computation over one partition spanning the whole sample.
+// Workers value produces bit-identical floats (≤ 1 runs the partitions on
+// the calling goroutine). Group totals are enumerated in first-seen order
+// (by partition, then by row).
 package estimator
 
 import (
@@ -32,13 +32,6 @@ func (o Options) partitionSize() int {
 // accumulators use, so the Σf entering the estimate is worker-count
 // independent.
 func totalOf(fs []float64, opts Options) float64 {
-	if opts.Workers <= 0 {
-		var t float64
-		for _, v := range fs {
-			t += v
-		}
-		return t
-	}
 	spans := ops.Partitions(len(fs), opts.partitionSize())
 	partials := make([]float64, len(spans))
 	//gus:ctx-ok pure CPU shard over a materialized sample, below cancellation granularity
@@ -58,17 +51,8 @@ func totalOf(fs []float64, opts Options) float64 {
 }
 
 // spans resolves the accumulator partitions over n rows: fixed-size
-// morsels, or the whole sample as one span on the serial (Workers ≤ 0)
-// path.
-func (o Options) spans(n int) []ops.Span {
-	if o.Workers <= 0 {
-		if n == 0 {
-			return nil
-		}
-		return []ops.Span{{Lo: 0, Hi: n}}
-	}
-	return ops.Partitions(n, o.partitionSize())
-}
+// morsels.
+func (o Options) spans(n int) []ops.Span { return ops.Partitions(n, o.partitionSize()) }
 
 // linMomentSeed decorrelates moment-group hashes from other key domains.
 const linMomentSeed = 0x94d049bb133111eb

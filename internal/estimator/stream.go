@@ -260,7 +260,7 @@ func (a *Accum) TopDiagnostics() (groups int, sum2, sum4 float64) {
 }
 
 // Finalize folds the remaining tail and returns the exact moments, summed
-// in group order: bit-identical to groupMoments with Workers > 0 over the
+// in group order: bit-identical to groupMoments at any Workers over the
 // whole sample. The accumulator is sealed afterwards.
 func (a *Accum) Finalize() []float64 {
 	if !a.final {

@@ -5,7 +5,6 @@ import (
 
 	"github.com/sampling-algebra/gus/internal/estimator"
 	"github.com/sampling-algebra/gus/internal/expr"
-	"github.com/sampling-algebra/gus/internal/stats"
 )
 
 // NodeCardinality reports the estimated full-data output cardinality of
@@ -29,11 +28,14 @@ type NodeCardinality struct {
 	StdErr float64
 }
 
-// EstimateCardinalities executes the plan once with the given RNG and
-// returns, for every node, the estimated exact-output cardinality with its
-// standard error. Sample and GUS nodes are reported too (their estimates
-// refer to their own — sampled — output, scaled by their subtree's GUS).
-func EstimateCardinalities(n Node, rng *stats.RNG) ([]NodeCardinality, error) {
+// EstimateCardinalities executes the plan once under seed and returns, for
+// every node, the estimated exact-output cardinality with its standard
+// error. Every node is priced on the sample it emits in that one execution
+// (the root's numbering keys every subtree's sub-seeds). Sample and GUS
+// nodes are reported too (their estimates refer to their own — sampled —
+// output, scaled by their subtree's GUS).
+func EstimateCardinalities(n Node, seed uint64) ([]NodeCardinality, error) {
+	ids := NumberNodes(n)
 	var out []NodeCardinality
 	var walk func(Node, int) error
 	walk = func(node Node, depth int) error {
@@ -41,7 +43,7 @@ func EstimateCardinalities(n Node, rng *stats.RNG) ([]NodeCardinality, error) {
 		if err != nil {
 			return err
 		}
-		rows, err := Execute(node, rng.Split())
+		rows, err := execute(node, seed, ids)
 		if err != nil {
 			return err
 		}

@@ -233,7 +233,7 @@ func TestAnalyzeSchemaMatchesExecutionLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Execute(n, stats.NewRNG(5))
+	rows, err := Execute(n, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestAnalyzeGUSNodeRobustness(t *testing.T) {
 		t.Errorf("a = %v", a.G.A())
 	}
 	// Execution passes every tuple through.
-	rows, err := Execute(n, stats.NewRNG(1))
+	rows, err := Execute(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestAnalyzeUnion(t *testing.T) {
 	if math.Abs(a.G.A()-wantA) > 1e-12 {
 		t.Errorf("union a = %v, want %v", a.G.A(), wantA)
 	}
-	rows, err := Execute(n, stats.NewRNG(3))
+	rows, err := Execute(n, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestAnalyzeIntersect(t *testing.T) {
 	if math.Abs(a.G.A()-0.2) > 1e-12 {
 		t.Errorf("intersect a = %v, want 0.2", a.G.A())
 	}
-	rows, err := Execute(n, stats.NewRNG(3))
+	rows, err := Execute(n, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestExecuteQuery1EndToEnd(t *testing.T) {
 	li := lineitemRel(t, 2000, 500)
 	ord := ordersRel(t, 500)
 	n := query1Plan(t, li, ord)
-	rows, err := Execute(n, stats.NewRNG(9))
+	rows, err := Execute(n, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,11 +404,11 @@ func TestExecuteDeterministicWithSeed(t *testing.T) {
 	li := lineitemRel(t, 500, 200)
 	ord := ordersRel(t, 200)
 	n := query1Plan(t, li, ord)
-	r1, err := Execute(n, stats.NewRNG(42))
+	r1, err := Execute(n, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Execute(n, stats.NewRNG(42))
+	r2, err := Execute(n, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,11 +437,11 @@ func TestStripSampling(t *testing.T) {
 		t.Fatal("StripSampling left a Sample node")
 	}
 	// Exact plan must be deterministic and larger than any sampled run.
-	rows, err := Execute(exact, nil)
+	rows, err := Execute(exact, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := Execute(n, stats.NewRNG(1))
+	sampled, err := Execute(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestProjectNodeExecutesAndAnalyzes(t *testing.T) {
 		Names: []string{"f"},
 		Exprs: []expr.Expr{expr.Mul(expr.Col("l_discount"), expr.Sub(expr.Float(1), expr.Col("l_tax")))},
 	}
-	rows, err := Execute(n, stats.NewRNG(8))
+	rows, err := Execute(n, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func TestThetaExecutesAndAnalyzes(t *testing.T) {
 		Right: &Sample{Input: &Scan{Rel: ord}, Method: bern},
 		Pred:  expr.Eq(expr.Col("l_orderkey"), expr.Col("o_orderkey")),
 	}
-	rows, err := Execute(n, stats.NewRNG(4))
+	rows, err := Execute(n, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +542,7 @@ func TestThetaExecutesAndAnalyzes(t *testing.T) {
 		Right:    &Sample{Input: &Scan{Rel: ord}, Method: bern},
 		LeftCol:  "l_orderkey",
 		RightCol: "o_orderkey",
-	}, stats.NewRNG(4))
+	}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +577,7 @@ func TestFormatShowsTree(t *testing.T) {
 func TestScanAlias(t *testing.T) {
 	li := lineitemRel(t, 5, 5)
 	n := &Scan{Rel: li, Alias: "items"}
-	rows, err := Execute(n, nil)
+	rows, err := Execute(n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

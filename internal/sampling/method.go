@@ -5,7 +5,10 @@
 // multi-dimensional Bernoulli designs.
 //
 // Each Method both draws samples (Apply) and reports its GUS parameters
-// (Params); the plan rewriter relies on the two being consistent.
+// (Params); the plan rewriter relies on the two being consistent. Every
+// draw is the method's one keep rule (RuleOf): a pure function of
+// (sub-seed, input row index) or of the row's lineage, which the reference
+// executor and the engine both compute.
 package sampling
 
 import (
@@ -13,9 +16,7 @@ import (
 	"sort"
 
 	"github.com/sampling-algebra/gus/internal/core"
-	"github.com/sampling-algebra/gus/internal/lineage"
 	"github.com/sampling-algebra/gus/internal/ops"
-	"github.com/sampling-algebra/gus/internal/stats"
 )
 
 // Cardinality reports the tuple count of a named base relation (or, for
@@ -31,18 +32,58 @@ type Method interface {
 	Relations() []string
 	// Params returns the GUS translation G(a,b̄) of the method.
 	Params(card Cardinality) (*core.Params, error)
-	// Apply draws a sample from the input rows. The input's lineage schema
-	// must include every relation the method samples.
-	Apply(in *ops.Rows, rng *stats.RNG) (*ops.Rows, error)
+	// Apply draws a sample from the input rows by the method's keep rule
+	// under sub-seed sub. The input's lineage schema must include every
+	// relation the method samples.
+	Apply(in *ops.Rows, sub uint64) (*ops.Rows, error)
 }
 
-// slotOf finds the lineage slot of rel within in, or errors.
-func slotOf(in *ops.Rows, rel string) (int, error) {
-	i, ok := in.LSch.Index(rel)
-	if !ok {
-		return 0, fmt.Errorf("sampling: input lineage %v does not include %q", in.LSch.Names(), rel)
+// apply runs m's keep rule over in, emitting kept rows in input order.
+func apply(m Method, in *ops.Rows, sub uint64) (*ops.Rows, error) {
+	r, err := RuleOf(m, in.LSch, sub)
+	if err != nil {
+		return nil, err
 	}
-	return i, nil
+	out := &ops.Rows{Cols: in.Cols, LSch: in.LSch}
+	switch r.Keying {
+	case ByRow:
+		for i, row := range in.Data {
+			if r.KeepsRow(i) {
+				out.Data = append(out.Data, row)
+			}
+		}
+	case ByBlock:
+		for i, row := range in.Data {
+			if r.KeepsBlock(i) {
+				lin := row.Lin.Clone()
+				lin[r.Slot] = r.BlockID(i)
+				out.Data = append(out.Data, ops.Row{Lin: lin, Vals: row.Vals})
+			}
+		}
+	case ByLineage:
+	rows:
+		for _, row := range in.Data {
+			for j, slot := range r.Slots {
+				if !r.KeepsID(j, row.Lin[slot]) {
+					continue rows
+				}
+			}
+			out.Data = append(out.Data, row)
+		}
+	case ByRank:
+		if r.K >= in.Len() {
+			return in.Clone(), nil
+		}
+		var chosen []int
+		for _, c := range r.Candidates(0, in.Len()) {
+			chosen = append(chosen, c.Index)
+		}
+		sort.Ints(chosen)
+		for _, i := range chosen {
+			out.Data = append(out.Data, in.Data[i])
+		}
+	}
+	return out, nil
 }
 
 // Bernoulli keeps each tuple of one relation independently with probability
@@ -73,18 +114,7 @@ func (b *Bernoulli) Relations() []string { return []string{b.Rel} }
 func (b *Bernoulli) Params(Cardinality) (*core.Params, error) { return core.Bernoulli(b.Rel, b.P) }
 
 // Apply implements Method.
-func (b *Bernoulli) Apply(in *ops.Rows, rng *stats.RNG) (*ops.Rows, error) {
-	if _, err := slotOf(in, b.Rel); err != nil {
-		return nil, err
-	}
-	out := &ops.Rows{Cols: in.Cols, LSch: in.LSch}
-	for _, row := range in.Data {
-		if rng.Bernoulli(b.P) {
-			out.Data = append(out.Data, row)
-		}
-	}
-	return out, nil
-}
+func (b *Bernoulli) Apply(in *ops.Rows, sub uint64) (*ops.Rows, error) { return apply(b, in, sub) }
 
 // WOR draws exactly K tuples uniformly without replacement from one
 // relation — the TABLESAMPLE (n ROWS) of the paper's Query 1. If the input
@@ -130,32 +160,7 @@ func (w *WOR) Params(card Cardinality) (*core.Params, error) {
 }
 
 // Apply implements Method.
-func (w *WOR) Apply(in *ops.Rows, rng *stats.RNG) (*ops.Rows, error) {
-	if _, err := slotOf(in, w.Rel); err != nil {
-		return nil, err
-	}
-	n := in.Len()
-	if w.K >= n {
-		return in.Clone(), nil
-	}
-	// Partial Fisher–Yates over an index array: the first K entries are a
-	// uniform K-subset.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 0; i < w.K; i++ {
-		j := i + rng.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	chosen := append([]int(nil), idx[:w.K]...)
-	sort.Ints(chosen) // keep input order for determinism of downstream ops
-	out := &ops.Rows{Cols: in.Cols, LSch: in.LSch, Data: make([]ops.Row, 0, w.K)}
-	for _, i := range chosen {
-		out.Data = append(out.Data, in.Data[i])
-	}
-	return out, nil
-}
+func (w *WOR) Apply(in *ops.Rows, sub uint64) (*ops.Rows, error) { return apply(w, in, sub) }
 
 // Block implements SQL SYSTEM sampling: the input is split into consecutive
 // blocks of BlockSize tuples (pages) and each block is kept independently
@@ -200,31 +205,7 @@ func (b *Block) Relations() []string { return []string{b.Rel} }
 func (b *Block) Params(Cardinality) (*core.Params, error) { return core.Bernoulli(b.Rel, b.P) }
 
 // Apply implements Method, rewriting lineage IDs to 1-based block IDs.
-func (b *Block) Apply(in *ops.Rows, rng *stats.RNG) (*ops.Rows, error) {
-	slot, err := slotOf(in, b.Rel)
-	if err != nil {
-		return nil, err
-	}
-	if in.LSch.Len() != 1 {
-		return nil, fmt.Errorf("sampling: SYSTEM sampling must be applied directly to a base relation")
-	}
-	out := &ops.Rows{Cols: in.Cols, LSch: in.LSch}
-	numBlocks := (in.Len() + b.BlockSize - 1) / b.BlockSize
-	keep := make([]bool, numBlocks)
-	for i := range keep {
-		keep[i] = rng.Bernoulli(b.P)
-	}
-	for i, row := range in.Data {
-		blk := i / b.BlockSize
-		if !keep[blk] {
-			continue
-		}
-		lin := row.Lin.Clone()
-		lin[slot] = lineage.TupleID(blk + 1)
-		out.Data = append(out.Data, ops.Row{Lin: lin, Vals: row.Vals})
-	}
-	return out, nil
-}
+func (b *Block) Apply(in *ops.Rows, sub uint64) (*ops.Rows, error) { return apply(b, in, sub) }
 
 // LineageHash keeps a tuple iff, for every sampled relation r with
 // probability p_r, HashID(seed_r, lineageID_r) < p_r. Because the decision
@@ -319,14 +300,9 @@ func RelSeed(seed uint64, rel string) uint64 {
 	return h
 }
 
-// relSeed is RelSeed bound to the method's own seed.
-func (m *LineageHash) relSeed(rel string) uint64 { return RelSeed(m.Seed, rel) }
-
-// Keeps reports the (deterministic) decision for one base tuple of one of
-// the method's relations.
-func (m *LineageHash) Keeps(rel string, id lineage.TupleID) bool {
-	return stats.HashID(m.relSeed(rel), uint64(id)) < m.probs[rel]
-}
+// Apply implements Method. The sub-seed is unused: decisions are pure
+// functions of the method's seed and the lineage, which is the point.
+func (m *LineageHash) Apply(in *ops.Rows, sub uint64) (*ops.Rows, error) { return apply(m, in, sub) }
 
 // Residual is the Bernoulli(P/Q) quasi-operator the planner composes on
 // top of a materialized Bernoulli(Q) synopsis scan (Prop. 8): the synopsis
@@ -343,10 +319,11 @@ func (m *LineageHash) Keeps(rel string, id lineage.TupleID) bool {
 //     produce — bit-identical rows to the unrewritten coordinated query,
 //     and the only sound mode over stratified synopses (where the
 //     per-row synopsis rate varies).
-//   - Fresh (Nested=false): keep with probability P/Q from the engine's
-//     node-seeded stream, so WithSeed varies the realization exactly as a
-//     plain Bernoulli sample would. Unconditionally (over the synopsis
-//     build's own randomness) the stacked process is Bernoulli(P).
+//   - Fresh (Nested=false): keep synopsis row i iff HashID(sub, i) < P/Q,
+//     the node's row-keyed draw, so WithSeed varies the realization
+//     exactly as a plain Bernoulli sample would. Unconditionally (over the
+//     synopsis build's own randomness) the stacked process is
+//     Bernoulli(P).
 type Residual struct {
 	// Rel is the lineage alias of the scanned relation.
 	Rel string
@@ -382,58 +359,5 @@ func (m *Residual) Params(Cardinality) (*core.Params, error) {
 	return core.Bernoulli(m.Rel, m.P/m.Q)
 }
 
-// Keeps is the nested decision for one base tuple: the coordinated hash
-// that decided synopsis membership, re-thresholded at the query's rate.
-func (m *Residual) Keeps(id lineage.TupleID) bool {
-	return stats.HashID(m.Hash, uint64(id)) < m.P
-}
-
-// Apply implements Method (the serial reference the parallel engine paths
-// are bit-compatible with for the nested mode; the fresh mode consumes the
-// given RNG exactly like Bernoulli does).
-func (m *Residual) Apply(in *ops.Rows, rng *stats.RNG) (*ops.Rows, error) {
-	slot, err := slotOf(in, m.Rel)
-	if err != nil {
-		return nil, err
-	}
-	out := &ops.Rows{Cols: in.Cols, LSch: in.LSch}
-	if m.Nested {
-		for _, row := range in.Data {
-			if m.Keeps(row.Lin[slot]) {
-				out.Data = append(out.Data, row)
-			}
-		}
-		return out, nil
-	}
-	frac := m.P / m.Q
-	for _, row := range in.Data {
-		if rng.Bernoulli(frac) {
-			out.Data = append(out.Data, row)
-		}
-	}
-	return out, nil
-}
-
-// Apply implements Method. The RNG is unused: decisions are pure functions
-// of the seed and lineage, which is the point.
-func (m *LineageHash) Apply(in *ops.Rows, _ *stats.RNG) (*ops.Rows, error) {
-	slots := make([]int, len(m.rels))
-	for i, r := range m.rels {
-		s, err := slotOf(in, r)
-		if err != nil {
-			return nil, err
-		}
-		slots[i] = s
-	}
-	out := &ops.Rows{Cols: in.Cols, LSch: in.LSch}
-rows:
-	for _, row := range in.Data {
-		for i, r := range m.rels {
-			if !m.Keeps(r, row.Lin[slots[i]]) {
-				continue rows
-			}
-		}
-		out.Data = append(out.Data, row)
-	}
-	return out, nil
-}
+// Apply implements Method.
+func (m *Residual) Apply(in *ops.Rows, sub uint64) (*ops.Rows, error) { return apply(m, in, sub) }

@@ -19,15 +19,15 @@ import (
 	"github.com/sampling-algebra/gus/internal/stats"
 )
 
-// Trial runs one randomized execution and reports the lineage keys of the
-// tuples included in the result. Keys must identify tuples stably across
-// trials (lineage.Vector.Key does).
-type Trial func(rng *stats.RNG) ([]string, error)
+// Trial runs one randomized execution under the given seed and reports the
+// lineage keys of the tuples included in the result. Keys must identify
+// tuples stably across trials (lineage.Vector.Key does).
+type Trial func(seed uint64) ([]string, error)
 
 // PlanTrial adapts a query plan into a Trial.
 func PlanTrial(n plan.Node) Trial {
-	return func(rng *stats.RNG) ([]string, error) {
-		rows, err := plan.Execute(n, rng)
+	return func(seed uint64) ([]string, error) {
+		rows, err := plan.Execute(n, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -56,8 +56,8 @@ func pairKey(a, b string) [2]string {
 	return [2]string{a, b}
 }
 
-// EstimateProfile runs the trial repeatedly and accumulates inclusion
-// frequencies. Pair accounting is quadratic in the per-trial result size;
+// EstimateProfile runs the trial repeatedly, under trial seeds drawn from
+// seed, and accumulates inclusion frequencies. Pair accounting is quadratic in the per-trial result size;
 // keep populations small.
 func EstimateProfile(trial Trial, trials int, seed uint64) (*Profile, error) {
 	if trials <= 0 {
@@ -67,7 +67,7 @@ func EstimateProfile(trial Trial, trials int, seed uint64) (*Profile, error) {
 	firstCnt := map[string]int{}
 	secondCnt := map[[2]string]int{}
 	for i := 0; i < trials; i++ {
-		keys, err := trial(rng)
+		keys, err := trial(rng.Uint64())
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +159,7 @@ func AggregateMoments(n plan.Node, f expr.Expr, trials int, seed uint64) (mean, 
 	rng := stats.NewRNG(seed)
 	var w stats.Welford
 	for i := 0; i < trials; i++ {
-		rows, err := plan.Execute(n, rng)
+		rows, err := plan.Execute(n, rng.Uint64())
 		if err != nil {
 			return 0, 0, err
 		}

@@ -103,12 +103,10 @@ func TestProp6JoinCommutesWithSampling(t *testing.T) {
 		LeftCol:  "r_k",
 		RightCol: "s_k",
 	}
-	// Above: a fresh seed per trial is needed for the hash method to be
-	// random across trials; wrap the trial to rebuild the plan each time.
-	var seedCounter uint64
-	above := func(rng *stats.RNG) ([]string, error) {
-		seedCounter++
-		m, err := sampling.NewLineageHash(rng.Uint64(), map[string]float64{"r": 0.5, "s": 0.6})
+	// Above: the hash method's own seed must vary across trials for it to
+	// be random; wrap the trial to rebuild the plan each time.
+	above := func(seed uint64) ([]string, error) {
+		m, err := sampling.NewLineageHash(seed, map[string]float64{"r": 0.5, "s": 0.6})
 		if err != nil {
 			return nil, err
 		}
@@ -119,7 +117,7 @@ func TestProp6JoinCommutesWithSampling(t *testing.T) {
 			},
 			Method: m,
 		}
-		return PlanTrial(n)(rng)
+		return PlanTrial(n)(seed)
 	}
 	if err := CheckEquivalent(PlanTrial(sampleBelow), above, mcTrials, 3, mcTol); err != nil {
 		t.Error(err)
@@ -129,7 +127,8 @@ func TestProp6JoinCommutesWithSampling(t *testing.T) {
 func TestProp7UnionOfIndependentSamples(t *testing.T) {
 	// B1(R) ∪ B2(R) (independent) ⟺ Bernoulli(a1+a2−a1a2)(R).
 	r := smallRel(t, "r", 14, 7)
-	unionPlan := func(rng *stats.RNG) ([]string, error) {
+	unionPlan := func(seed uint64) ([]string, error) {
+		rng := stats.NewRNG(seed)
 		m1, err := sampling.NewLineageHash(rng.Uint64(), map[string]float64{"r": 0.3})
 		if err != nil {
 			return nil, err
@@ -142,7 +141,7 @@ func TestProp7UnionOfIndependentSamples(t *testing.T) {
 			Left:  &plan.Sample{Input: &plan.Scan{Rel: r}, Method: m1},
 			Right: &plan.Sample{Input: &plan.Scan{Rel: r}, Method: m2},
 		}
-		return PlanTrial(n)(rng)
+		return PlanTrial(n)(seed)
 	}
 	combined := &plan.Sample{
 		Input:  &plan.Scan{Rel: r},
@@ -202,7 +201,7 @@ func TestAnalysisPredictsEmpiricalMoments(t *testing.T) {
 	}
 	// Predicted moments of the RAW sample sum (not scaled by 1/a):
 	// E[Σf] = a·Σf_pop, Var[Σf] = a²·σ²(X).
-	exact, err := plan.Execute(plan.StripSampling(n), nil)
+	exact, err := plan.Execute(plan.StripSampling(n), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +228,7 @@ func TestAnalysisPredictsEmpiricalMoments(t *testing.T) {
 }
 
 func TestEstimateProfileValidation(t *testing.T) {
-	if _, err := EstimateProfile(func(*stats.RNG) ([]string, error) { return nil, nil }, 0, 1); err == nil {
+	if _, err := EstimateProfile(func(uint64) ([]string, error) { return nil, nil }, 0, 1); err == nil {
 		t.Error("zero trials accepted")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"github.com/sampling-algebra/gus/internal/plan"
 	"github.com/sampling-algebra/gus/internal/relation"
 	"github.com/sampling-algebra/gus/internal/sampling"
-	"github.com/sampling-algebra/gus/internal/stats"
 )
 
 // Catalog resolves table names to base relations.
@@ -23,8 +22,8 @@ type PlannerOptions struct {
 	// block). Zero selects the default of 32.
 	SystemBlockSize int
 	// Seed drives REPEATABLE lineage-hash sampling when a TABLESAMPLE has
-	// no explicit REPEATABLE clause of its own. (Plain Bernoulli/WOR use
-	// the executor's RNG instead.)
+	// no explicit REPEATABLE clause of its own. (Plain Bernoulli/WOR decide
+	// under the executor's per-node sub-seed instead.)
 	Seed uint64
 }
 
@@ -78,7 +77,7 @@ func (d *deferredMethod) Relations() []string { return []string{d.ref.EffectiveN
 func (d *deferredMethod) Params(sampling.Cardinality) (*core.Params, error) {
 	return nil, fmt.Errorf("sampling: parameters of %s are unbound (execute the prepared statement instead of its template)", d.ref.EffectiveName())
 }
-func (d *deferredMethod) Apply(*ops.Rows, *stats.RNG) (*ops.Rows, error) {
+func (d *deferredMethod) Apply(*ops.Rows, uint64) (*ops.Rows, error) {
 	return nil, fmt.Errorf("sampling: %s is unbound (execute the prepared statement instead of its template)", d.ref.EffectiveName())
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"github.com/sampling-algebra/gus/internal/plan"
 	"github.com/sampling-algebra/gus/internal/relation"
-	"github.com/sampling-algebra/gus/internal/stats"
 	"github.com/sampling-algebra/gus/internal/tpch"
 )
 
@@ -253,7 +252,7 @@ func TestPlanPaperQuery1(t *testing.T) {
 		}
 	}
 	// It must execute and analyze end to end.
-	rows, err := plan.Execute(pl.Root, stats.NewRNG(1))
+	rows, err := plan.Execute(pl.Root, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +292,7 @@ WHERE l_orderkey = o_orderkey AND o_custkey = c_custkey AND l_partkey = p_partke
 	if math.Abs(a.G.A()-0.1) > 1e-12 {
 		t.Errorf("a = %v, want 0.2·0.5", a.G.A())
 	}
-	rows, err := plan.Execute(pl.Root, stats.NewRNG(2))
+	rows, err := plan.Execute(pl.Root, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +334,7 @@ func TestPlanCrossProductFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := plan.Execute(pl.Root, stats.NewRNG(1))
+	rows, err := plan.Execute(pl.Root, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +360,7 @@ WHERE l_orderkey = o_orderkey AND l_extendedprice > o_totalprice / 10`)
 	if !strings.Contains(rendered, "σ (l_extendedprice > (o_totalprice / 10))") {
 		t.Errorf("non-equi predicate not applied post-join:\n%s", rendered)
 	}
-	if _, err := plan.Execute(pl.Root, stats.NewRNG(1)); err != nil {
+	if _, err := plan.Execute(pl.Root, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -399,11 +398,11 @@ func TestPlanRepeatableSampling(t *testing.T) {
 	}
 	// Repeatable sampling must return identical rows across executions
 	// even with different RNGs.
-	r1, err := plan.Execute(pl.Root, stats.NewRNG(1))
+	r1, err := plan.Execute(pl.Root, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := plan.Execute(pl.Root, stats.NewRNG(999))
+	r2, err := plan.Execute(pl.Root, 999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +433,7 @@ func TestPlanSystemSampling(t *testing.T) {
 	if math.Abs(a.G.A()-0.5) > 1e-12 {
 		t.Errorf("SYSTEM a = %v", a.G.A())
 	}
-	rows, err := plan.Execute(pl.Root, stats.NewRNG(3))
+	rows, err := plan.Execute(pl.Root, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,9 @@ import "math"
 
 // RNG is a SplitMix64 pseudo-random generator. It is deterministic across
 // platforms and Go versions (unlike math/rand's unspecified sequences),
-// which the reproduction harness relies on, and it doubles as the seeded
-// pseudo-random function that §7 requires for lineage-hash sub-sampling.
+// which data generation and the test harnesses rely on. Query sampling
+// draws nothing from it: every keep decision is HashID of a seed and a
+// row index or tuple ID.
 type RNG struct {
 	state uint64
 }
@@ -38,9 +39,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Bernoulli reports true with probability p.
-func (r *RNG) Bernoulli(p float64) bool { return r.Float64() < p }
-
 // NormFloat64 returns a standard-normal variate (Box–Muller).
 func (r *RNG) NormFloat64() float64 {
 	// Rejection-free polar form would cache a value; the plain form is
@@ -52,23 +50,6 @@ func (r *RNG) NormFloat64() float64 {
 	u2 := r.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
-
-// Perm returns a pseudo-random permutation of [0,n) (Fisher–Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Split derives an independent generator from this one. Children with
-// distinct derivation calls produce decorrelated streams.
-func (r *RNG) Split() *RNG { return NewRNG(r.Uint64() ^ 0xd1342543de82ef95) }
 
 // HashID mixes a seed with a tuple ID into a uniform [0,1) value. The same
 // (seed, id) always yields the same value: this is the pseudo-random

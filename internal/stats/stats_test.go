@@ -63,21 +63,6 @@ func TestIntnBounds(t *testing.T) {
 	r.Intn(0)
 }
 
-func TestBernoulliRate(t *testing.T) {
-	r := NewRNG(5)
-	hits := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if r.Bernoulli(0.3) {
-			hits++
-		}
-	}
-	rate := float64(hits) / n
-	if math.Abs(rate-0.3) > 0.01 {
-		t.Errorf("Bernoulli(0.3) rate = %v", rate)
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := NewRNG(9)
 	var w Welford
@@ -89,33 +74,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(w.Variance()-1) > 0.02 {
 		t.Errorf("normal variance = %v", w.Variance())
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(13)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSplitDecorrelates(t *testing.T) {
-	r := NewRNG(1)
-	a := r.Split()
-	b := r.Split()
-	same := 0
-	for i := 0; i < 64; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("split streams collided %d times", same)
 	}
 }
 

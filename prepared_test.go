@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -36,7 +37,8 @@ func sameValues(t *testing.T, tag string, got, want *Result) {
 			t.Fatalf("%s: label mismatch: %s/%s vs %s/%s", tag, g.Name, g.Kind, w.Name, w.Kind)
 		}
 		if g.Value != w.Value || g.Estimate != w.Estimate || g.StdErr != w.StdErr ||
-			g.CILow != w.CILow || g.CIHigh != w.CIHigh || g.Approximate != w.Approximate {
+			g.CILow != w.CILow || g.CIHigh != w.CIHigh || g.Approximate != w.Approximate ||
+			!slices.Equal(g.yhat, w.yhat) {
 			t.Fatalf("%s: not bit-identical:\n got %+v\nwant %+v", tag, g, w)
 		}
 	}
@@ -236,7 +238,8 @@ func TestPreparedEquivalence(t *testing.T) {
 }
 
 // TestPreparedStringParam binds a string placeholder against a string
-// column; the frozen digest is what the row engine's scalar binding gave.
+// column: the answer must match the literal query and the serial
+// reference's scalar evaluation of it.
 func TestPreparedStringParam(t *testing.T) {
 	db := Open()
 	tb, err := db.CreateTable("ev", Column{"cat", String}, Column{"v", Float})
@@ -265,7 +268,7 @@ func TestPreparedStringParam(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameValues(t, "cat="+cat, got, want)
-		requireFrozen(t, "prepared cat="+cat, got)
+		sameValues(t, "reference cat="+cat, got, reference(t, db, lit, db.buildOptions([]Option{WithSeed(3)})))
 	}
 }
 
