@@ -72,17 +72,22 @@ func columnarPlans(t *testing.T, orders int) map[string]plan.Node {
 	}
 }
 
-// TestColumnarMatches is the engine's core regression: for every plan
-// shape — sampled by every method, and sampling-free — seed and worker
-// count, ExecuteBatch must produce exactly the rows (values, lineage and
-// order) the serial reference plan.Execute produces. Both executors decide
-// every sample by the methods' keep rules under the same per-node
-// sub-seeds, so the reference is a live oracle for sampled plans too.
+// TestColumnarMatches is the engine's core sampled regression: for every
+// plan shape, seed and worker count, ExecuteBatch must produce exactly the
+// rows (values, lineage and order) the serial reference plan.Execute
+// produces. Both executors decide every sample by the methods' keep rules
+// under the same per-node sub-seeds, so the reference is a live oracle for
+// sampled plans.
 func TestColumnarMatches(t *testing.T) {
-	plans := columnarPlans(t, 1500)
+	matchesReference(t, columnarPlans(t, 1500))
+}
+
+// TestColumnarMatchesSerialOracle: for sampling-free plans — the shapes
+// GROUP BY and θ-join queries execute — the columnar path must reproduce
+// the serial plan.Execute reference row for row.
+func TestColumnarMatchesSerialOracle(t *testing.T) {
 	tb := genTables(t, 1000)
-	for name, p := range map[string]plan.Node{
-		"scan": &plan.Scan{Rel: tb.Orders},
+	matchesReference(t, map[string]plan.Node{
 		// The pre-aggregation plan of a GROUP BY query: selected scan with
 		// the grouping column intact.
 		"groupby-shape": &plan.Select{
@@ -116,9 +121,13 @@ func TestColumnarMatches(t *testing.T) {
 			Names: []string{"x"},
 			Exprs: []expr.Expr{expr.Add(expr.Col("o_orderkey"), expr.Int(1))},
 		},
-	} {
-		plans[name] = p
-	}
+	})
+}
+
+// matchesReference checks, for every plan, seeds 1 and 2 and worker counts
+// 1, 2, 4 and 8, that ExecuteBatch reproduces plan.Execute row for row.
+func matchesReference(t *testing.T, plans map[string]plan.Node) {
+	t.Helper()
 	for name, p := range plans {
 		for seed := uint64(1); seed <= 2; seed++ {
 			key := fmt.Sprintf("%s seed=%d", name, seed)

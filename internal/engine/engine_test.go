@@ -113,6 +113,29 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestMatchesSerialExecutorWithoutSampling: for sampling-free plans the
+// engine must reproduce plan.Execute row for row.
+func TestMatchesSerialExecutorWithoutSampling(t *testing.T) {
+	tb := genTables(t, 1200)
+	matchesReference(t, map[string]plan.Node{
+		"scan": &plan.Scan{Rel: tb.Orders},
+		"join-select": &plan.Select{
+			Input: &plan.Join{
+				Left:     &plan.Scan{Rel: tb.Lineitem},
+				Right:    &plan.Scan{Rel: tb.Orders},
+				LeftCol:  "l_orderkey",
+				RightCol: "o_orderkey",
+			},
+			Pred: expr.Gt(expr.Col("l_extendedprice"), expr.Float(50)),
+		},
+		"theta": &plan.Theta{
+			Left:  &plan.Scan{Rel: tb.Orders, Alias: "o"},
+			Right: &plan.Scan{Rel: tb.Customer, Alias: "c"},
+			Pred:  expr.Eq(expr.Col("o_custkey"), expr.Col("c_custkey")),
+		},
+	})
+}
+
 // TestWORDrawsExactlyK checks the priority-selection WOR: exact sample
 // size, rows kept in input order, uniform coverage sanity.
 func TestWORDrawsExactlyK(t *testing.T) {
