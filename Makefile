@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSegmentDecode -fuzztime=15s ./internal/segment
 	$(GO) test -run=^$$ -fuzz=FuzzSubsumption -fuzztime=15s ./internal/synopsis
 	$(GO) test -run=^$$ -fuzz=FuzzOrderAwareMoments -fuzztime=15s ./internal/estimator
+	$(GO) test -run=^$$ -fuzz=FuzzFilterMatchesScalar -fuzztime=15s ./internal/expr
 
 clean:
 	rm -rf $(BIN)

@@ -5,8 +5,9 @@
 // The common TABLESAMPLE shape — scan → {Bernoulli, SYSTEM, lineage-hash}
 // sample → selections → optional projection — runs as ONE fused
 // partition-at-a-time kernel (pipe): each partition computes a selection
-// vector through sampling and every predicate, and only surviving rows are
-// ever gathered or projected, directly into their final output position.
+// vector through sampling, every predicate narrows it in place
+// (expr.VecCompiled.Filter), and only surviving rows are ever gathered or
+// projected, directly into their final output position.
 // WOR sampling, joins and the lineage set operators are separate columnar
 // operators.
 package engine
@@ -475,17 +476,20 @@ func (ps *projSpec) schemaFor(total int) (*relation.Schema, error) {
 }
 
 // pipe is the fused partition-at-a-time kernel. Phase 1 computes each
-// partition's final selection vector (sampling, then every predicate);
-// phase 2 prefix-sums partition offsets; phase 3 gathers or projects the
-// surviving rows directly into their final output positions. Partition
-// boundaries depend only on the input length and partition size, and
-// phase-3 workers write disjoint ranges, so results are bit-identical at
-// any worker count.
+// partition's final selection vector: the sampling stage selects rows,
+// then each predicate in turn narrows the vector in place (Filter), so a
+// predicate reads only the rows still selected and never a row the sample
+// rejected; without a sampling stage the first predicate decides the span
+// directly (FilterRange). Phase 2 prefix-sums partition offsets; phase 3
+// gathers or projects the surviving rows directly into their final output
+// positions. Partition boundaries depend only on the input length and
+// partition size, and phase-3 workers write disjoint ranges, so results
+// are bit-identical at any worker count.
 //
-// Partitions that need no per-row selection — no sampling stage, and
-// either no predicates or none evaluated yet — work on zero-copy column
-// slices (expr.Vec.Slice + EvalAll) instead of building identity
-// selection vectors and gathering.
+// Partitions that need no per-row selection — no sampling stage and no
+// predicates — are copied or projected from zero-copy column slices
+// (expr.Vec.Slice + EvalAll) instead of building identity selection
+// vectors and gathering.
 func (e *Engine) pipe(in *batch.Batch, smp *sampleStage, preds []*expr.VecCompiled, proj *projSpec, zp *zonePruner) (*batch.Batch, int, error) {
 	return e.pipeWindow(in, smp, preds, proj, zp, ops.Partitions(in.Len(), e.partSize), 0)
 }
@@ -493,10 +497,11 @@ func (e *Engine) pipe(in *batch.Batch, smp *sampleStage, preds []*expr.VecCompil
 // pipeWindow is pipe restricted to a window of consecutive input
 // partitions: spans must be a contiguous sub-slice of the input's full
 // partitioning and pBase the global index of spans[0]. Row indices stay
-// absolute (spans address the full input) and every sampling decision is
-// keyed on them, so the concatenation of windowed outputs over a cover of
-// the partitions is bit-identical to one full pipe — the property
-// progressive wave execution rests on.
+// absolute (spans address the full input; selection vectors and Filter
+// index the full columns) and every sampling decision is keyed on them,
+// so the concatenation of windowed outputs over a cover of the partitions
+// is bit-identical to one full pipe — the property progressive wave
+// execution rests on.
 //
 // When the input carries a zone map whose granularity matches the engine's
 // partition size, the pruner (if any) runs first per partition: a
@@ -543,18 +548,13 @@ func (e *Engine) pipeWindow(in *batch.Batch, smp *sampleStage, preds []*expr.Vec
 		case smp != nil:
 			sel = smp.selectSpan(in, span, sel)
 		case len(preds) > 0:
-			// First predicate over zero-copy span slices.
-			v, err := preds[0].EvalAllBind(spanCols(span), e.binds, span.Hi-span.Lo)
+			// The first predicate decides the span's rows directly.
+			kept, err := preds[0].FilterRange(in.Cols, e.binds, span.Lo, span.Hi, sel)
 			if err != nil {
 				putI32(sel)
 				return fmt.Errorf("engine: select: %w", err)
 			}
-			for k := 0; k < span.Hi-span.Lo; k++ {
-				if v.TruthyAt(k) {
-					sel = append(sel, int32(span.Lo+k))
-				}
-			}
-			rest = preds[1:]
+			sel, rest = kept, preds[1:]
 		default:
 			putI32(sel)
 			full[p], counts[p] = true, span.Hi-span.Lo
@@ -564,16 +564,10 @@ func (e *Engine) pipeWindow(in *batch.Batch, smp *sampleStage, preds []*expr.Vec
 			if len(sel) == 0 {
 				break
 			}
-			v, err := pred.EvalBind(in.Cols, e.binds, sel)
+			kept, err := pred.Filter(in.Cols, e.binds, sel)
 			if err != nil {
 				putI32(sel)
 				return fmt.Errorf("engine: select: %w", err)
-			}
-			kept := sel[:0]
-			for k, i := range sel {
-				if v.TruthyAt(k) {
-					kept = append(kept, i)
-				}
 			}
 			sel = kept
 		}
@@ -944,18 +938,16 @@ func (e *Engine) execThetaB(l, r *batch.Batch, pred expr.Expr) (*batch.Batch, er
 			for j := range l.Cols {
 				setConst(&view[j], l.Cols[j], i)
 			}
-			// EvalAll: right columns pass through the kernels zero-copy;
-			// only the broadcast left constants change per left row.
-			v, err := c.EvalAllBind(view, e.binds, rn)
+			// Right rows are decided in place over the right columns; only
+			// the broadcast left constants change per left row.
+			kept, err := c.FilterRange(view, e.binds, 0, rn, rs)
 			if err != nil {
 				return fmt.Errorf("engine: theta join: %w", err)
 			}
-			for k := 0; k < rn; k++ {
-				if v.TruthyAt(k) {
-					ls = append(ls, int32(i))
-					rs = append(rs, int32(k))
-				}
+			for range kept[len(rs):] {
+				ls = append(ls, int32(i))
 			}
+			rs = kept
 		}
 		lIdx[p], rIdx[p] = ls, rs
 		return nil

@@ -225,9 +225,45 @@ func TestColumnarErrors(t *testing.T) {
 				expr.Sub(expr.Col("o_orderkey"), expr.Col("o_orderkey"))), expr.Float(0)),
 		},
 	}
+	// Sampling runs before the predicate: a zero divisor on a row the
+	// Bernoulli stage keeps is an error, one on a row it rejects is never
+	// evaluated. The keys come from the same plan shape (same node numbers,
+	// same draws) with an always-true predicate.
+	sampled := func(pred expr.Expr) plan.Node {
+		return &plan.Select{Input: &plan.Sample{Input: &plan.Scan{Rel: tb.Orders}, Method: bern}, Pred: pred}
+	}
+	out, err := New(Config{Workers: 4}).ExecuteBatch(sampled(expr.Eq(expr.Col("o_orderkey"), expr.Col("o_orderkey"))), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyCol, _ := out.Schema.Index("o_orderkey")
+	kept := map[int64]bool{}
+	for _, k := range out.Cols[keyCol].I {
+		kept[k] = true
+	}
+	keptKey, droppedKey := int64(-1), int64(-1)
+	for i := 0; i < tb.Orders.Len(); i++ {
+		k, _ := tb.Orders.Row(i)[keyCol].AsInt()
+		if kept[k] {
+			keptKey = k
+		} else {
+			droppedKey = k
+		}
+	}
+	if keptKey < 0 || droppedKey < 0 {
+		t.Fatalf("Bernoulli(0.5) kept %d of %d orders; need a kept and a rejected row", len(kept), tb.Orders.Len())
+	}
+	zeroAt := func(key int64) expr.Expr {
+		return expr.Gt(expr.Div(expr.Col("o_totalprice"),
+			expr.Sub(expr.Col("o_orderkey"), expr.Int(key))), expr.Float(0))
+	}
+	bad["division-by-zero-on-sampled-row"] = sampled(zeroAt(keptKey))
 	for name, p := range bad {
 		if _, err := New(Config{Workers: 4}).ExecuteBatch(p, 1); err == nil {
 			t.Errorf("%s: engine accepted invalid plan", name)
 		}
+	}
+	if _, err := New(Config{Workers: 4}).ExecuteBatch(sampled(zeroAt(droppedKey)), 1); err != nil {
+		t.Errorf("division by zero only on a rejected row: %v", err)
 	}
 }

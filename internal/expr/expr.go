@@ -5,7 +5,11 @@
 //
 // Expressions are built as an AST and then compiled against a column schema
 // into a closure; compilation resolves column names to positions once so
-// evaluation is allocation-free per row.
+// evaluation is allocation-free per row. The closure form is the semantics
+// reference; queries run the vectorized form (vector.go), which evaluates
+// whole selections of rows per call and, for predicates, narrows a
+// selection vector in place (VecCompiled.Filter) instead of producing a
+// truth vector.
 package expr
 
 import (

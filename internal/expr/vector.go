@@ -5,6 +5,16 @@
 // for every supported expression the two produce bit-identical values —
 // kernels apply exactly the same per-element operations in the same order,
 // they just run them over flat arrays instead of boxed relation.Values.
+//
+// Predicates have a second entry point, Filter: it narrows a selection
+// vector in place to the rows where the predicate is truthy. A comparison
+// of columns, constants and bound parameters compares straight through
+// the row index, with relation.Value.Compare's order (int/int exact,
+// int→float widening, NaN equal to NaN and below every number), without
+// gathering its operands or writing a truth vector; any other predicate
+// evaluates as Eval does and compacts in the same call. Filter keeps
+// exactly the rows whose scalar result is truthy and fails exactly where
+// Eval fails, with the same error.
 package expr
 
 import (
@@ -76,9 +86,9 @@ func (v Vec) ValueAt(i int) relation.Value {
 	}
 }
 
-// TruthyAt reports element i's truthiness under relation.Value rules:
+// truthyAt reports element i's truthiness under relation.Value rules:
 // non-zero numbers are true, strings never are.
-func (v Vec) TruthyAt(i int) bool {
+func (v Vec) truthyAt(i int) bool {
 	if v.Const {
 		i = 0
 	}
@@ -260,6 +270,237 @@ func (c *VecCompiled) evalN(cols, binds []Vec, sel []int32, n int) (Vec, error) 
 	return out, nil
 }
 
+// Filter narrows the selection vector sel, in place and in order, to the
+// rows whose predicate value is truthy, and returns the kept prefix of sel.
+// It keeps exactly the rows where EvalBind's result is truthy and fails
+// exactly when EvalBind fails, with the same error — but a comparison whose
+// operands are columns, constants or bound parameters compares straight
+// through the row index, with no operand gather and no truth vector. Every
+// other predicate evaluates as EvalBind does and compacts in the same call.
+func (c *VecCompiled) Filter(cols, binds []Vec, sel []int32) ([]int32, error) {
+	if kept, ok := c.filterCompare(cols, binds, sel); ok {
+		return kept, nil
+	}
+	v, err := c.root.eval(cols, binds, sel, len(sel))
+	if err != nil {
+		return nil, err
+	}
+	return keepTruthy(v, sel), nil
+}
+
+// FilterRange is Filter over the dense row range [lo, hi): it appends to
+// dst, in order, every index in the range whose predicate value is truthy.
+// Dense entries of cols are indexed absolutely (they hold at least hi
+// rows); Const entries broadcast. Predicates without the direct comparison
+// kernel evaluate over zero-copy slices of the range, as EvalAllBind does.
+func (c *VecCompiled) FilterRange(cols, binds []Vec, lo, hi int, dst []int32) ([]int32, error) {
+	base := len(dst)
+	for i := lo; i < hi; i++ {
+		dst = append(dst, int32(i))
+	}
+	if kept, ok := c.filterCompare(cols, binds, dst[base:]); ok {
+		return dst[:base+len(kept)], nil
+	}
+	span := cols
+	if lo > 0 {
+		span = make([]Vec, len(cols))
+		for j, col := range cols {
+			span[j] = col
+			if !col.Const {
+				span[j] = col.Slice(lo, hi)
+			}
+		}
+	}
+	v, err := c.root.eval(span, binds, nil, hi-lo)
+	if err != nil {
+		return nil, err
+	}
+	return dst[:base+len(keepTruthy(v, dst[base:]))], nil
+}
+
+// keepTruthy compacts sel to the entries whose result in v — one per entry,
+// or a Const broadcast — is truthy under relation.Value rules.
+func keepTruthy(v Vec, sel []int32) []int32 {
+	if v.Const {
+		if v.truthyAt(0) {
+			return sel
+		}
+		return sel[:0]
+	}
+	k := 0
+	switch v.Kind {
+	case relation.KindInt:
+		for j, x := range v.I[:len(sel)] {
+			sel[k] = sel[j]
+			if x != 0 {
+				k++
+			}
+		}
+	case relation.KindFloat:
+		for j, x := range v.F[:len(sel)] {
+			sel[k] = sel[j]
+			if x != 0 {
+				k++
+			}
+		}
+	}
+	return sel[:k] // strings are never truthy
+}
+
+// filterCompare is Filter's direct kernel. It applies when the root is a
+// numeric comparison of two leaves (columns, constants or bound parameters)
+// that are not both constant, and no constant is NaN; ok is false, and sel
+// untouched, otherwise — including every case where evaluation would fail,
+// so the general path raises the error.
+func (c *VecCompiled) filterCompare(cols, binds []Vec, sel []int32) (kept []int32, ok bool) {
+	b, isBin := c.root.(*binVecNode)
+	if !isBin || !b.op.IsComparison() {
+		return nil, false
+	}
+	l, lok := leafVec(b.l, cols, binds)
+	r, rok := leafVec(b.r, cols, binds)
+	if !lok || !rok || l.Const && r.Const ||
+		l.Kind == relation.KindString || r.Kind == relation.KindString {
+		return nil, false
+	}
+	op := b.op
+	if l.Const {
+		// Column on the left: Value order is antisymmetric, NaN included.
+		l, r, op = r, l, op.flip()
+	}
+	lInt, rInt := l.Kind == relation.KindInt, r.Kind == relation.KindInt
+	if r.Const {
+		switch {
+		case lInt && rInt:
+			return keepCmpConst(op, l.I, r.I[0], sel), true
+		case rInt:
+			return keepCmpConst(op, l.F, float64(r.I[0]), sel), true
+		case math.IsNaN(r.F[0]):
+			return nil, false
+		case lInt:
+			return keepCmpConst(op, l.I, r.F[0], sel), true
+		default:
+			return keepCmpConst(op, l.F, r.F[0], sel), true
+		}
+	}
+	switch {
+	case lInt && rInt:
+		return keepCmpCols[int64, int64, int64](op, l.I, r.I, sel), true
+	case lInt:
+		return keepCmpCols[int64, float64, float64](op, l.I, r.F, sel), true
+	case rInt:
+		return keepCmpCols[float64, int64, float64](op, l.F, r.I, sel), true
+	default:
+		return keepCmpCols[float64, float64, float64](op, l.F, r.F, sel), true
+	}
+}
+
+// leafVec returns a column, constant or bound-parameter operand's vector
+// without evaluating anything; ok is false for any other node and for a
+// parameter whose binding would fail to evaluate.
+func leafVec(n vecNode, cols, binds []Vec) (Vec, bool) {
+	switch n := n.(type) {
+	case *colVecNode:
+		return cols[n.idx], true
+	case *constVecNode:
+		return n.v, true
+	case *paramVecNode:
+		v, err := n.eval(nil, binds, nil, 0)
+		return v, err == nil && v.Const
+	}
+	return Vec{}, false
+}
+
+// flip returns the comparison that holds for (r, l) exactly when op holds
+// for (l, r).
+func (o Op) flip() Op {
+	switch o {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	}
+	return o // OpEq, OpNe
+}
+
+type number interface{ int64 | float64 }
+
+// keepCmpConst compacts sel to the rows i where V(col[i]) op c holds under
+// relation.Value.Compare, for a non-NaN c. Each op is one IEEE comparison:
+// every comparison with NaN is false, so Lt, Le and Ne — the negations of
+// Ge, Gt and Eq — keep NaN elements, which sort below c and equal nothing.
+// Int columns against an int constant stay exact; against a float constant
+// they widen, as Compare does.
+func keepCmpConst[T, V number](op Op, col []T, c V, sel []int32) []int32 {
+	want := op == OpGe || op == OpGt || op == OpEq
+	k := 0
+	switch op {
+	case OpGe, OpLt:
+		for _, i := range sel {
+			sel[k] = i
+			if (V(col[i]) >= c) == want {
+				k++
+			}
+		}
+	case OpGt, OpLe:
+		for _, i := range sel {
+			sel[k] = i
+			if (V(col[i]) > c) == want {
+				k++
+			}
+		}
+	default:
+		for _, i := range sel {
+			sel[k] = i
+			if (V(col[i]) == c) == want {
+				k++
+			}
+		}
+	}
+	return sel[:k]
+}
+
+// keepCmpCols is keepCmpConst for two columns compared in V, where either
+// side may be NaN: NaN equals NaN and sorts below every number. Ge, Le and
+// Ne are the negations of Lt, Gt and Eq.
+func keepCmpCols[A, B, V number](op Op, a []A, b []B, sel []int32) []int32 {
+	k := 0
+	switch op {
+	case OpLt, OpGe:
+		want := op == OpLt
+		for _, i := range sel {
+			x, y := V(a[i]), V(b[i])
+			sel[k] = i
+			if (x < y || x != x && y == y) == want {
+				k++
+			}
+		}
+	case OpGt, OpLe:
+		want := op == OpGt
+		for _, i := range sel {
+			x, y := V(a[i]), V(b[i])
+			sel[k] = i
+			if (x > y || x == x && y != y) == want {
+				k++
+			}
+		}
+	default:
+		want := op == OpEq
+		for _, i := range sel {
+			x, y := V(a[i]), V(b[i])
+			sel[k] = i
+			if (x == y || x != x && y != y) == want {
+				k++
+			}
+		}
+	}
+	return sel[:k]
+}
+
 // CompileVec resolves column references against schema and builds the
 // kernel tree. Unknown columns are compile-time errors, as in Compile.
 // Type errors (string arithmetic, string/number comparison) are deferred
@@ -426,15 +667,62 @@ func (n *notVecNode) eval(cols, binds []Vec, sel []int32, cnt int) (Vec, error) 
 		return Vec{}, err
 	}
 	if x.Const {
-		return ConstVec(relation.Bool(!x.TruthyAt(0))), nil
+		return ConstVec(relation.Bool(!x.truthyAt(0))), nil
 	}
 	out := make([]int64, cnt)
-	for k := 0; k < cnt; k++ {
-		if !x.TruthyAt(k) {
-			out[k] = 1
-		}
-	}
+	foldTruth(out, x, foldNot)
 	return Vec{Kind: relation.KindInt, I: out}, nil
+}
+
+// truthFold is how foldTruth merges an element's truthiness into out.
+type truthFold int8
+
+const (
+	foldSet truthFold = iota // out[k] = t
+	foldNot                  // out[k] = 1 - t
+	foldAnd                  // out[k] &= t
+	foldOr                   // out[k] |= t
+)
+
+// foldTruth folds each element's truthiness t ∈ {0, 1} of v (dense with at
+// least len(out) elements, or Const) into out, reading v through its typed
+// slice.
+func foldTruth(out []int64, v Vec, op truthFold) {
+	if v.Const || v.Kind == relation.KindString {
+		t := b2i(v.Const && v.truthyAt(0)) // strings are never truthy
+		for k := range out {
+			out[k] = foldOne(op, out[k], t)
+		}
+		return
+	}
+	if v.Kind == relation.KindInt {
+		for k, x := range v.I[:len(out)] {
+			out[k] = foldOne(op, out[k], b2i(x != 0))
+		}
+		return
+	}
+	for k, x := range v.F[:len(out)] {
+		out[k] = foldOne(op, out[k], b2i(x != 0))
+	}
+}
+
+func foldOne(op truthFold, acc, t int64) int64 {
+	switch op {
+	case foldNot:
+		return t ^ 1
+	case foldAnd:
+		return acc & t
+	case foldOr:
+		return acc | t
+	}
+	return t
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 type binVecNode struct {
@@ -502,20 +790,13 @@ func (b *binVecNode) eval(cols, binds []Vec, sel []int32, n int) (Vec, error) {
 		return ConstVec(v), nil
 	}
 	switch {
-	case b.op == OpAnd:
+	case b.op == OpAnd || b.op == OpOr:
 		out := make([]int64, n)
-		for k := 0; k < n; k++ {
-			if lv.TruthyAt(k) && rv.TruthyAt(k) {
-				out[k] = 1
-			}
-		}
-		return Vec{Kind: relation.KindInt, I: out}, nil
-	case b.op == OpOr:
-		out := make([]int64, n)
-		for k := 0; k < n; k++ {
-			if lv.TruthyAt(k) || rv.TruthyAt(k) {
-				out[k] = 1
-			}
+		foldTruth(out, lv, foldSet)
+		if b.op == OpAnd {
+			foldTruth(out, rv, foldAnd)
+		} else {
+			foldTruth(out, rv, foldOr)
 		}
 		return Vec{Kind: relation.KindInt, I: out}, nil
 	case b.op.IsComparison():
