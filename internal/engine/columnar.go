@@ -901,10 +901,11 @@ func gatherConcat(l, r *batch.Batch, lSel, rSel []int32, out *batch.Batch, off i
 	}
 }
 
-// execThetaB is the columnar partitioned nested-loops θ-join: each left
-// row's predicate is evaluated vectorized over the whole right input, with
-// the left row's values pinned as broadcast constants — no per-pair tuple
-// is ever materialized, only matching (i, j) index pairs.
+// execThetaB is the columnar partitioned nested-loops θ-join: for each left
+// row, with that row's values pinned as broadcast constants, FilterRange
+// narrows the right side's row indices in place to those that satisfy the
+// predicate — no truth vector is written and no per-pair tuple is ever
+// materialized, only matching (i, j) index pairs.
 func (e *Engine) execThetaB(l, r *batch.Batch, pred expr.Expr) (*batch.Batch, error) {
 	cols, err := l.Schema.Concat(r.Schema)
 	if err != nil {

@@ -88,7 +88,7 @@ func (v Vec) ValueAt(i int) relation.Value {
 
 // truthyAt reports element i's truthiness under relation.Value rules:
 // non-zero numbers are true, strings never are.
-func (v Vec) truthyAt(i int) bool {
+func (v *Vec) truthyAt(i int) bool {
 	if v.Const {
 		i = 0
 	}
@@ -273,10 +273,10 @@ func (c *VecCompiled) evalN(cols, binds []Vec, sel []int32, n int) (Vec, error) 
 // Filter narrows the selection vector sel, in place and in order, to the
 // rows whose predicate value is truthy, and returns the kept prefix of sel.
 // It keeps exactly the rows where EvalBind's result is truthy and fails
-// exactly when EvalBind fails, with the same error — but a comparison whose
-// operands are columns, constants or bound parameters compares straight
-// through the row index, with no operand gather and no truth vector. Every
-// other predicate evaluates as EvalBind does and compacts in the same call.
+// exactly when EvalBind fails, with the same error — but a comparison of a
+// column with a constant or a bound parameter compares straight through the
+// row index, with no operand gather and no truth vector. Every other
+// predicate evaluates as EvalBind does and compacts in the same call.
 func (c *VecCompiled) Filter(cols, binds []Vec, sel []int32) ([]int32, error) {
 	if kept, ok := c.filterCompare(cols, binds, sel); ok {
 		return kept, nil
@@ -349,9 +349,9 @@ func keepTruthy(v Vec, sel []int32) []int32 {
 
 // filterCompare is Filter's direct kernel. It applies when the root is a
 // numeric comparison of two leaves (columns, constants or bound parameters)
-// that are not both constant, and no constant is NaN; ok is false, and sel
-// untouched, otherwise — including every case where evaluation would fail,
-// so the general path raises the error.
+// of which exactly one is constant, and that constant is not NaN; ok is
+// false, and sel untouched, otherwise — including every case where
+// evaluation would fail, so the general path raises the error.
 func (c *VecCompiled) filterCompare(cols, binds []Vec, sel []int32) (kept []int32, ok bool) {
 	b, isBin := c.root.(*binVecNode)
 	if !isBin || !b.op.IsComparison() {
@@ -359,7 +359,7 @@ func (c *VecCompiled) filterCompare(cols, binds []Vec, sel []int32) (kept []int3
 	}
 	l, lok := leafVec(b.l, cols, binds)
 	r, rok := leafVec(b.r, cols, binds)
-	if !lok || !rok || l.Const && r.Const ||
+	if !lok || !rok || l.Const == r.Const ||
 		l.Kind == relation.KindString || r.Kind == relation.KindString {
 		return nil, false
 	}
@@ -369,29 +369,17 @@ func (c *VecCompiled) filterCompare(cols, binds []Vec, sel []int32) (kept []int3
 		l, r, op = r, l, op.flip()
 	}
 	lInt, rInt := l.Kind == relation.KindInt, r.Kind == relation.KindInt
-	if r.Const {
-		switch {
-		case lInt && rInt:
-			return keepCmpConst(op, l.I, r.I[0], sel), true
-		case rInt:
-			return keepCmpConst(op, l.F, float64(r.I[0]), sel), true
-		case math.IsNaN(r.F[0]):
-			return nil, false
-		case lInt:
-			return keepCmpConst(op, l.I, r.F[0], sel), true
-		default:
-			return keepCmpConst(op, l.F, r.F[0], sel), true
-		}
-	}
 	switch {
 	case lInt && rInt:
-		return keepCmpCols[int64, int64, int64](op, l.I, r.I, sel), true
-	case lInt:
-		return keepCmpCols[int64, float64, float64](op, l.I, r.F, sel), true
+		return keepCmpConst(op, l.I, r.I[0], sel), true
 	case rInt:
-		return keepCmpCols[float64, int64, float64](op, l.F, r.I, sel), true
+		return keepCmpConst(op, l.F, float64(r.I[0]), sel), true
+	case math.IsNaN(r.F[0]):
+		return nil, false
+	case lInt:
+		return keepCmpConst(op, l.I, r.F[0], sel), true
 	default:
-		return keepCmpCols[float64, float64, float64](op, l.F, r.F, sel), true
+		return keepCmpConst(op, l.F, r.F[0], sel), true
 	}
 }
 
@@ -457,43 +445,6 @@ func keepCmpConst[T, V number](op Op, col []T, c V, sel []int32) []int32 {
 		for _, i := range sel {
 			sel[k] = i
 			if (V(col[i]) == c) == want {
-				k++
-			}
-		}
-	}
-	return sel[:k]
-}
-
-// keepCmpCols is keepCmpConst for two columns compared in V, where either
-// side may be NaN: NaN equals NaN and sorts below every number. Ge, Le and
-// Ne are the negations of Lt, Gt and Eq.
-func keepCmpCols[A, B, V number](op Op, a []A, b []B, sel []int32) []int32 {
-	k := 0
-	switch op {
-	case OpLt, OpGe:
-		want := op == OpLt
-		for _, i := range sel {
-			x, y := V(a[i]), V(b[i])
-			sel[k] = i
-			if (x < y || x != x && y == y) == want {
-				k++
-			}
-		}
-	case OpGt, OpLe:
-		want := op == OpGt
-		for _, i := range sel {
-			x, y := V(a[i]), V(b[i])
-			sel[k] = i
-			if (x > y || x == x && y != y) == want {
-				k++
-			}
-		}
-	default:
-		want := op == OpEq
-		for _, i := range sel {
-			x, y := V(a[i]), V(b[i])
-			sel[k] = i
-			if (x == y || x != x && y != y) == want {
 				k++
 			}
 		}
@@ -670,59 +621,12 @@ func (n *notVecNode) eval(cols, binds []Vec, sel []int32, cnt int) (Vec, error) 
 		return ConstVec(relation.Bool(!x.truthyAt(0))), nil
 	}
 	out := make([]int64, cnt)
-	foldTruth(out, x, foldNot)
+	for k := 0; k < cnt; k++ {
+		if !x.truthyAt(k) {
+			out[k] = 1
+		}
+	}
 	return Vec{Kind: relation.KindInt, I: out}, nil
-}
-
-// truthFold is how foldTruth merges an element's truthiness into out.
-type truthFold int8
-
-const (
-	foldSet truthFold = iota // out[k] = t
-	foldNot                  // out[k] = 1 - t
-	foldAnd                  // out[k] &= t
-	foldOr                   // out[k] |= t
-)
-
-// foldTruth folds each element's truthiness t ∈ {0, 1} of v (dense with at
-// least len(out) elements, or Const) into out, reading v through its typed
-// slice.
-func foldTruth(out []int64, v Vec, op truthFold) {
-	if v.Const || v.Kind == relation.KindString {
-		t := b2i(v.Const && v.truthyAt(0)) // strings are never truthy
-		for k := range out {
-			out[k] = foldOne(op, out[k], t)
-		}
-		return
-	}
-	if v.Kind == relation.KindInt {
-		for k, x := range v.I[:len(out)] {
-			out[k] = foldOne(op, out[k], b2i(x != 0))
-		}
-		return
-	}
-	for k, x := range v.F[:len(out)] {
-		out[k] = foldOne(op, out[k], b2i(x != 0))
-	}
-}
-
-func foldOne(op truthFold, acc, t int64) int64 {
-	switch op {
-	case foldNot:
-		return t ^ 1
-	case foldAnd:
-		return acc & t
-	case foldOr:
-		return acc | t
-	}
-	return t
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 type binVecNode struct {
@@ -790,13 +694,20 @@ func (b *binVecNode) eval(cols, binds []Vec, sel []int32, n int) (Vec, error) {
 		return ConstVec(v), nil
 	}
 	switch {
-	case b.op == OpAnd || b.op == OpOr:
+	case b.op == OpAnd:
 		out := make([]int64, n)
-		foldTruth(out, lv, foldSet)
-		if b.op == OpAnd {
-			foldTruth(out, rv, foldAnd)
-		} else {
-			foldTruth(out, rv, foldOr)
+		for k := 0; k < n; k++ {
+			if lv.truthyAt(k) && rv.truthyAt(k) {
+				out[k] = 1
+			}
+		}
+		return Vec{Kind: relation.KindInt, I: out}, nil
+	case b.op == OpOr:
+		out := make([]int64, n)
+		for k := 0; k < n; k++ {
+			if lv.truthyAt(k) || rv.truthyAt(k) {
+				out[k] = 1
+			}
 		}
 		return Vec{Kind: relation.KindInt, I: out}, nil
 	case b.op.IsComparison():

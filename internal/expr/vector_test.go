@@ -391,8 +391,8 @@ func genTree(rng *stats.RNG, depth int, params *[]relation.Value) Expr {
 }
 
 // genFilterCase draws one Filter input over a fresh fixture: half the
-// predicates are comparisons of two leaves (the direct kernel's shape),
-// the rest random trees. Some columns become Const broadcasts (every tuple
+// predicates are comparisons of two leaves (the direct kernel's shape when
+// one leaf is constant), the rest random trees. Some columns become Const broadcasts (every tuple
 // then holds the broadcast value), some placeholders are declared with
 // the wrong kind, and the selection is an ascending random subset, empty
 // at times.
