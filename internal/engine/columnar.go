@@ -332,7 +332,7 @@ func (e *Engine) compilePreds(preds []expr.Expr, schema *relation.Schema) ([]*ex
 type sampleStage struct {
 	method  sampling.Method
 	rule    *sampling.Rule
-	branchy bool // selection-loop form for the method's keep fraction
+	branchy bool // lineage-keyed selection-loop form (branchySel)
 }
 
 // frac reports the stage's per-tuple inclusion fraction for tracing.
@@ -360,75 +360,55 @@ func growSel(sel []int32, n int) []int32 {
 	return sel[:need]
 }
 
-// branchySel picks the selection-loop form for a keep fraction. At extreme
-// fractions (a 1% query sample, a 99% residual) the keep branch predicts
-// near-perfectly and a conditional write is cheapest. At moderate fractions
-// — residual sampling structurally lands here, e.g. p/q = 0.5 — the branch
-// mispredicts on a large share of rows and the penalty, not the RNG,
-// dominates the scan; there the loop writes the candidate index
-// UNCONDITIONALLY and bumps the cursor only on keeps, trading one
-// store-buffer write per rejected row for no mispredicts. Both forms keep
-// the identical set: only the write pattern differs.
+// branchySel picks the selection-loop form of a lineage-keyed rule for a
+// keep fraction. At extreme fractions (a 1% sample, a 99% residual) the keep
+// branch predicts near-perfectly and a conditional write is cheapest. At
+// moderate fractions the branch mispredicts on a large share of rows and
+// the penalty, not the hash, dominates the scan; there the loop writes the
+// candidate index UNCONDITIONALLY and bumps the cursor only on keeps,
+// trading one store-buffer write per rejected row for no mispredicts. Both
+// forms keep the identical set: only the write pattern differs.
 func branchySel(frac float64) bool { return frac < 0.0625 || frac > 0.9375 }
 
 // selectSpan appends the kept row indices of span to sel, deciding every
-// row by the stage's keep rule; the two write patterns (see growSel /
-// branchySel) keep the identical set.
+// row by the stage's keep rule. Row- and block-keyed rules decide by
+// absolute row index, a word or a block at a time (Rule.AppendRows); a
+// lineage-keyed rule hashes each row's tuple IDs (the two write patterns of
+// branchySel keep the identical set).
 func (s *sampleStage) selectSpan(in *batch.Batch, span ops.Span, sel []int32) []int32 {
-	k := len(sel)
-	sel = growSel(sel, span.Hi-span.Lo)
 	r := s.rule
 	switch r.Keying {
-	case sampling.ByRow:
-		if s.branchy {
-			for i := span.Lo; i < span.Hi; i++ {
-				if r.KeepsRow(i) {
-					sel[k] = int32(i)
-					k++
-				}
+	case sampling.ByRow, sampling.ByBlock:
+		return r.AppendRows(span.Lo, span.Hi, sel)
+	}
+	k := len(sel)
+	sel = growSel(sel, span.Hi-span.Lo)
+	// Lineage-keyed: the first relation decides, the rest filter.
+	lo, ids := k, in.Lin[r.Slots[0]]
+	if s.branchy {
+		for i := span.Lo; i < span.Hi; i++ {
+			if r.KeepsID(0, ids[i]) {
+				sel[k] = int32(i)
+				k++
 			}
-			return sel[:k]
 		}
+	} else {
 		for i := span.Lo; i < span.Hi; i++ {
 			sel[k] = int32(i)
-			if r.KeepsRow(i) {
+			if r.KeepsID(0, ids[i]) {
 				k++
 			}
 		}
-	case sampling.ByBlock:
-		for i := span.Lo; i < span.Hi; i++ {
-			if r.KeepsBlock(i) {
-				sel[k] = int32(i)
-				k++
+	}
+	for j := 1; j < len(r.Slots); j++ {
+		ids, kept := in.Lin[r.Slots[j]], lo
+		for _, i := range sel[lo:k] {
+			if r.KeepsID(j, ids[i]) {
+				sel[kept] = i
+				kept++
 			}
 		}
-	default: // lineage-keyed: the first relation decides, the rest filter
-		lo, ids := k, in.Lin[r.Slots[0]]
-		if s.branchy {
-			for i := span.Lo; i < span.Hi; i++ {
-				if r.KeepsID(0, ids[i]) {
-					sel[k] = int32(i)
-					k++
-				}
-			}
-		} else {
-			for i := span.Lo; i < span.Hi; i++ {
-				sel[k] = int32(i)
-				if r.KeepsID(0, ids[i]) {
-					k++
-				}
-			}
-		}
-		for j := 1; j < len(r.Slots); j++ {
-			ids, kept := in.Lin[r.Slots[j]], lo
-			for _, i := range sel[lo:k] {
-				if r.KeepsID(j, ids[i]) {
-					sel[kept] = i
-					kept++
-				}
-			}
-			k = kept
-		}
+		k = kept
 	}
 	return sel[:k]
 }

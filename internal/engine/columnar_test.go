@@ -148,11 +148,13 @@ func matchesReference(t *testing.T, plans map[string]plan.Node) {
 
 // TestPartitionSizeInvariance: no sampling decision depends on the
 // partitioning, so sampled output is identical at any partition size —
-// one-shot, and concatenated from waves.
+// one-shot, and concatenated from waves. Partitions of 37 and 100 rows
+// (and waves of two of them) end inside the 64-row words the row-keyed
+// rule decides together, and inside SYSTEM blocks.
 func TestPartitionSizeInvariance(t *testing.T) {
 	tb := genTables(t, 1500)
 	bern, _ := sampling.NewBernoulli("lineitem", 0.3)
-	blk, _ := sampling.NewBlock("lineitem", 8, 0.4) // 8 divides 64, 1000 and 4096
+	blk, _ := sampling.NewBlock("lineitem", 8, 0.4)
 	wor, _ := sampling.NewWOR("lineitem", 700)
 	res := &sampling.Residual{Rel: "lineitem", P: 0.2, Q: 0.5}
 	scan := func(m sampling.Method) plan.Node {
@@ -174,7 +176,7 @@ func TestPartitionSizeInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
-			for _, ps := range []int{1000, 4096} {
+			for _, ps := range []int{37, 100, 1000, 4096} {
 				e := New(Config{Workers: 2, PartitionSize: ps, SerialCutoff: 1})
 				got, err := execRows(e, p, seed)
 				if err != nil {

@@ -47,18 +47,15 @@ func apply(m Method, in *ops.Rows, sub uint64) (*ops.Rows, error) {
 	out := &ops.Rows{Cols: in.Cols, LSch: in.LSch}
 	switch r.Keying {
 	case ByRow:
-		for i, row := range in.Data {
-			if r.KeepsRow(i) {
-				out.Data = append(out.Data, row)
-			}
+		for _, i := range r.AppendRows(0, in.Len(), nil) {
+			out.Data = append(out.Data, in.Data[i])
 		}
 	case ByBlock:
-		for i, row := range in.Data {
-			if r.KeepsBlock(i) {
-				lin := row.Lin.Clone()
-				lin[r.Slot] = r.BlockID(i)
-				out.Data = append(out.Data, ops.Row{Lin: lin, Vals: row.Vals})
-			}
+		for _, i := range r.AppendRows(0, in.Len(), nil) {
+			row := in.Data[i]
+			lin := row.Lin.Clone()
+			lin[r.Slot] = r.BlockID(int(i))
+			out.Data = append(out.Data, ops.Row{Lin: lin, Vals: row.Vals})
 		}
 	case ByLineage:
 	rows:
@@ -319,11 +316,11 @@ func (m *LineageHash) Apply(in *ops.Rows, sub uint64) (*ops.Rows, error) { retur
 //     produce — bit-identical rows to the unrewritten coordinated query,
 //     and the only sound mode over stratified synopses (where the
 //     per-row synopsis rate varies).
-//   - Fresh (Nested=false): keep synopsis row i iff HashID(sub, i) < P/Q,
-//     the node's row-keyed draw, so WithSeed varies the realization
-//     exactly as a plain Bernoulli sample would. Unconditionally (over the
-//     synopsis build's own randomness) the stacked process is
-//     Bernoulli(P).
+//   - Fresh (Nested=false): keep synopsis row i iff its uniform is below
+//     P/Q — the node's row-keyed draw (ByRow: 64 rows' digits per
+//     Hash64(sub, ·) word), so WithSeed varies the realization exactly as a
+//     plain Bernoulli sample would. Unconditionally (over the synopsis
+//     build's own randomness) the stacked process is Bernoulli(P).
 type Residual struct {
 	// Rel is the lineage alias of the scanned relation.
 	Rel string

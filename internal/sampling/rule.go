@@ -2,6 +2,9 @@ package sampling
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"github.com/sampling-algebra/gus/internal/lineage"
@@ -12,8 +15,11 @@ import (
 type Keying int
 
 const (
-	// ByRow keeps input row i iff HashID(Sub, i) < P: Bernoulli, and the
-	// fresh Residual at P = p/q.
+	// ByRow keeps input row i iff its uniform U_i < P: Bernoulli, and the
+	// fresh Residual at P = p/q. U_i is 53 binary digits read 64 rows at a
+	// time: digit d of every row in word w = [64w, 64w+64) is one bit of
+	// Hash64(Sub, 64w+d), so the rows of a word are compared with P
+	// together (AppendRows).
 	ByRow Keying = iota
 	// ByBlock keeps input row i iff HashID(Sub, i/Block) < P and rewrites
 	// lineage slot Slot to the row's 1-based block ID: SYSTEM sampling.
@@ -113,11 +119,86 @@ func rowRule(m Method, lsch *lineage.Schema, rel string, r *Rule) (*Rule, error)
 	return r, nil
 }
 
-// KeepsRow is the ByRow decision for input row i.
-func (r *Rule) KeepsRow(i int) bool { return stats.HashID(r.Sub, uint64(i)) < r.P }
+// threshold is the 53-bit integer form of keep probability p: a uniform
+// U = u/2⁵³ is below p iff u < ⌈p·2⁵³⌉, so HashID(seed, id) < p iff
+// Hash64(seed, id)>>11 < threshold(p). p ≤ 0 and NaN give 0 (keep nothing),
+// p ≥ 1 gives 2⁵³ (keep everything).
+func threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
 
-// KeepsBlock is the ByBlock decision for input row i: its block's.
-func (r *Rule) KeepsBlock(i int) bool { return stats.HashID(r.Sub, uint64(i/r.Block)) < r.P }
+// AppendRows appends to dst the input rows of [lo, hi) that a ByRow or
+// ByBlock rule keeps, in increasing order. Every decision depends on the
+// row's absolute index alone, so any split of the input into spans keeps
+// the same rows.
+//
+// ByRow compares 64 rows' uniforms with the threshold t at once, most
+// significant digit first: where t's digit is 1 a row whose digit is 0 is
+// kept, where it is 0 a row whose digit is 1 is dropped, and the rest stay
+// undecided. The loop ends when no row of the word is undecided or t has no
+// 1 digit left (the undecided rows are then ≥ t). That is ~8 words per 64
+// rows at a generic P and 2 at P = 25 %. Rows outside the span are masked
+// out of a word's undecided set; they only change when the loop ends.
+//
+// ByBlock decides once per block and appends the block's rows in the span.
+func (r *Rule) AppendRows(lo, hi int, dst []int32) []int32 {
+	if hi <= lo {
+		return dst
+	}
+	k := len(dst)
+	dst = slices.Grow(dst, hi-lo)[:k+hi-lo]
+	t := threshold(r.P)
+	switch {
+	case t == 0:
+	case t == 1<<53:
+		for i := lo; i < hi; i++ {
+			dst[k] = int32(i)
+			k++
+		}
+	case r.Keying == ByBlock:
+		for b := lo / r.Block; b*r.Block < hi; b++ {
+			if stats.Hash64(r.Sub, uint64(b))>>11 >= t {
+				continue
+			}
+			for i := max(lo, b*r.Block); i < min(hi, (b+1)*r.Block); i++ {
+				dst[k] = int32(i)
+				k++
+			}
+		}
+	default:
+		last := 52 - bits.TrailingZeros64(t) // t's last 1 digit, 0 = 2⁵²
+		for base := lo &^ 63; base < hi; base += 64 {
+			live := ^uint64(0)
+			if base < lo {
+				live <<= uint(lo - base)
+			}
+			if hi-base < 64 {
+				live &= 1<<uint(hi-base) - 1
+			}
+			var keep uint64
+			for d := 0; d <= last && live != 0; d++ {
+				x := stats.Hash64(r.Sub, uint64(base+d))
+				if t>>(52-d)&1 != 0 {
+					keep |= live &^ x
+					live &= x
+				} else {
+					live &^= x
+				}
+			}
+			for ; keep != 0; keep &= keep - 1 {
+				dst[k] = int32(base + bits.TrailingZeros64(keep))
+				k++
+			}
+		}
+	}
+	return dst[:k]
+}
 
 // BlockID is the lineage ID ByBlock gives input row i.
 func (r *Rule) BlockID(i int) lineage.TupleID { return lineage.TupleID(i/r.Block + 1) }

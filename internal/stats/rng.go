@@ -8,8 +8,8 @@ import "math"
 // RNG is a SplitMix64 pseudo-random generator. It is deterministic across
 // platforms and Go versions (unlike math/rand's unspecified sequences),
 // which data generation and the test harnesses rely on. Query sampling
-// draws nothing from it: every keep decision is HashID of a seed and a
-// row index or tuple ID.
+// draws nothing from it: every keep decision is a Hash64 of a seed and a
+// row index, block index or tuple ID.
 type RNG struct {
 	state uint64
 }
@@ -51,16 +51,22 @@ func (r *RNG) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// HashID mixes a seed with a tuple ID into a uniform [0,1) value. The same
-// (seed, id) always yields the same value: this is the pseudo-random
-// function of §7 that makes lineage-hash Bernoulli a GUS filter — a tuple
-// eliminated from a base relation is eliminated from every result tuple it
-// appears in.
+// HashID mixes a seed with a tuple ID into a uniform [0,1) value: the top
+// 53 bits of Hash64. The same (seed, id) always yields the same value: this
+// is the pseudo-random function of §7 that makes lineage-hash Bernoulli a
+// GUS filter — a tuple eliminated from a base relation is eliminated from
+// every result tuple it appears in.
 func HashID(seed, id uint64) float64 {
+	return float64(Hash64(seed, id)>>11) / (1 << 53)
+}
+
+// Hash64 mixes a seed with an ID into a pseudo-random 64-bit word, every
+// bit of it uniform. Row-keyed Bernoulli reads its words as 64 rows' binary
+// digits at once (sampling.Rule.AppendRows).
+func Hash64(seed, id uint64) uint64 {
 	z := seed ^ (id+0x9e3779b97f4a7c15)*0xff51afd7ed558ccd
 	z = (z ^ (z >> 33)) * 0xc4ceb9fe1a85ec53
 	z ^= z >> 33
 	z = (z + seed) * 0x9e3779b97f4a7c15
-	z ^= z >> 29
-	return float64(z>>11) / (1 << 53)
+	return z ^ z>>29
 }
