@@ -141,3 +141,41 @@ func TestTracedJoinHeapFootprint(t *testing.T) {
 		t.Fatalf("%.0f MB of heap held after 300 traced joins, bound %d MB: scratch buffers are ratcheting", held, boundMB)
 	}
 }
+
+// TestJoinBytesPerQuery bounds the bytes one traced query of the
+// join_estimate shape allocates. Sampled scans under the hash join hand it
+// selection vectors over their scans instead of gathering every sampled row
+// into a batch of its own, so only the joined rows are ever copied. The
+// bound is 0.7× the 4.63 MB per query measured when both sides were
+// gathered first; 2.8 MB is measured with the selections. Skipped under the
+// race detector, which drops pool Puts at random.
+func TestJoinBytesPerQuery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs a join large enough for megabyte scratch buffers")
+	}
+	if raceEnabled {
+		t.Skip("race detector drops random sync.Pool puts; allocated bytes are not stable")
+	}
+	db, sql := joinEstimateShapeDB(t)
+	query := func(seed uint64) {
+		if _, err := db.Query(sql, WithSeed(seed), WithWorkers(2), WithTrace(&Trace{})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seed := uint64(0); seed < 5; seed++ {
+		query(seed) // warm the plan cache and scratch pools
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for seed := uint64(100); seed < 100+runs; seed++ {
+		query(seed)
+	}
+	runtime.ReadMemStats(&after)
+	perQuery := float64(after.TotalAlloc-before.TotalAlloc) / runs / (1 << 20)
+	t.Logf("%.2f MB allocated per query", perQuery)
+	const boundMB = 0.7 * 4.63
+	if perQuery > boundMB {
+		t.Fatalf("%.2f MB allocated per join query, bound %.2f MB: the join's inputs are being gathered again", perQuery, boundMB)
+	}
+}

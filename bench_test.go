@@ -427,10 +427,12 @@ func BenchmarkEngineExecute(b *testing.B) {
 	}
 }
 
-// BenchmarkJoin isolates the engine's hash join (no sampling, no
-// estimation) on TPC-H-shaped inputs: lineitem ⋈ orders through the
-// open-addressing join table, serial and parallel. Allocations are the
-// headline: the dictionary/hash scheme materializes no per-row keys.
+// BenchmarkJoin isolates the engine's hash join (no estimation) on
+// TPC-H-shaped inputs: lineitem ⋈ orders through the open-addressing join
+// table, serial and parallel, unsampled and in join_estimate's sampled
+// shape. Allocations are the headline: the dictionary/hash scheme
+// materializes no per-row keys, and sampled inputs reach the join as
+// selections over the scans, so only the joined rows are ever gathered.
 func BenchmarkJoin(b *testing.B) {
 	tb, err := tpch.Generate(tpch.Config{Orders: 10000, Customers: 1000, Parts: 200, Seed: 4})
 	if err != nil {
@@ -442,20 +444,47 @@ func BenchmarkJoin(b *testing.B) {
 		LeftCol:  "l_orderkey",
 		RightCol: "o_orderkey",
 	}
-	run := func(workers int) func(*testing.B) {
+	run := func(p plan.Node, workers int) func(*testing.B) {
 		return func(b *testing.B) {
 			eng := engine.New(engine.Config{Workers: workers})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.ExecuteBatch(p, 1); err != nil {
+				out, err := eng.ExecuteBatch(p, uint64(i))
+				if err != nil {
 					b.Fatal(err)
 				}
+				out.Release()
 			}
 		}
 	}
-	b.Run("columnar/serial", run(1))
-	b.Run("columnar/workers=4", run(4))
+	b.Run("columnar/serial", run(p, 1))
+	b.Run("columnar/workers=4", run(p, 4))
+	// join_estimate's plan, Bernoulli 20 % ⋈ Bernoulli 50 % + predicate
+	// over pruned scans, at a scale where each sampled side runs past the
+	// pooled buffer sizes (≈ 40 k and 23 k rows).
+	big, err := tpch.Generate(tpch.Config{Orders: 50000, Customers: 5000, Parts: 2000, Seed: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bernL, _ := sampling.NewBernoulli("lineitem", 0.2)
+	bernO, _ := sampling.NewBernoulli("orders", 0.5)
+	sampled := &plan.Join{
+		Left: &plan.Sample{
+			Input:  &plan.Scan{Rel: big.Lineitem, Cols: []string{"l_orderkey", "l_extendedprice", "l_discount"}},
+			Method: bernL,
+		},
+		Right: &plan.Select{
+			Input: &plan.Sample{
+				Input:  &plan.Scan{Rel: big.Orders, Cols: []string{"o_orderkey", "o_totalprice"}},
+				Method: bernO,
+			},
+			Pred: expr.Gt(expr.Col("o_totalprice"), expr.Float(1000)),
+		},
+		LeftCol:  "l_orderkey",
+		RightCol: "o_orderkey",
+	}
+	b.Run("sampled", run(sampled, 2))
 }
 
 // BenchmarkGroupBy measures a grouped aggregate end to end (parse, plan,

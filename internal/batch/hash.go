@@ -15,29 +15,30 @@ import (
 	"github.com/sampling-algebra/gus/internal/relation"
 )
 
-// HashVecInto writes the canonical join-key hashes of v's rows [lo, hi)
-// into out[0 : hi-lo]. Dictionary-encoded string columns hash by code
+// HashVecSel writes the canonical join-key hash of v's row sel[k] into
+// out[k] for every k. Dictionary-encoded string columns hash by code
 // lookup; plain string columns hash the bytes (still allocation-free).
-func HashVecInto(v expr.Vec, lo, hi int, out []uint64) {
+func HashVecSel(v expr.Vec, sel []int32, out []uint64) {
+	out = out[:len(sel)]
 	switch v.Kind {
 	case relation.KindInt:
-		for k, x := range v.I[lo:hi] {
-			out[k] = relation.IntHash(x)
+		for k, i := range sel {
+			out[k] = relation.IntHash(v.I[i])
 		}
 	case relation.KindFloat:
-		for k, x := range v.F[lo:hi] {
-			out[k] = relation.FloatHash(x)
+		for k, i := range sel {
+			out[k] = relation.FloatHash(v.F[i])
 		}
 	default:
 		if v.Codes != nil {
 			hs := v.Dict.Hashes
-			for k, c := range v.Codes[lo:hi] {
-				out[k] = hs[c]
+			for k, i := range sel {
+				out[k] = hs[v.Codes[i]]
 			}
 			return
 		}
-		for k, s := range v.S[lo:hi] {
-			out[k] = relation.StringHash(s)
+		for k, i := range sel {
+			out[k] = relation.StringHash(v.S[i])
 		}
 	}
 }

@@ -35,7 +35,7 @@ import (
 // the pool's footprint is bounded only by how often the GC clears it.
 //
 // Only span- and wave-sized buffers pool (maxPooledLen). A larger one is
-// per-query state — a sampled table's column, a join table — and stays
+// per-query state — a join's output column, a join table — and stays
 // with the garbage collector: a pooled buffer is live heap, the collector
 // lets the heap grow to twice its live size, and sync.Pool's per-P caches
 // end up holding more than one copy, so recycling the few-MB buffers of a

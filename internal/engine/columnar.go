@@ -99,16 +99,16 @@ func (e *Engine) execB(n plan.Node, seed uint64, ids map[plan.Node]uint64) (*bat
 		e.trace.End(sp, int64(in.Len()), int64(out.Len()))
 		return out, nil
 	case *plan.Join:
-		l, r, err := e.both(t.Left, t.Right, seed, ids)
-		if err != nil {
-			return nil, err
+		l, r, err := both(e, t.Left, t.Right, func(n plan.Node) (joinInput, error) { return e.execJoinInput(n, seed, ids) })
+		var out *batch.Batch
+		if err == nil {
+			out, err = e.execJoinB(l, r, t.LeftCol, t.RightCol, int(ids[n]))
 		}
-		out, err := e.execJoinB(l, r, t.LeftCol, t.RightCol, int(ids[n]))
 		// The inputs were executed for this join alone and the output
-		// holds copies, so their buffers go back to the pools now rather
-		// than to the garbage collector.
-		l.Release()
-		r.Release()
+		// holds copies of the joined rows, so the selections and any
+		// materialized input go back to the pools now, on every path.
+		l.release()
+		r.release()
 		return out, err
 	case *plan.Theta:
 		l, r, err := e.both(t.Left, t.Right, seed, ids)
@@ -241,24 +241,48 @@ func stripGUS(n plan.Node) plan.Node {
 }
 
 func (e *Engine) execFused(c *fusedChain, seed uint64, ids map[plan.Node]uint64, node int) (*batch.Batch, error) {
-	in, smp, preds, proj, zp, err := e.prepareChain(c, seed, ids)
+	st, err := e.prepareChain(c, seed, ids)
 	if err != nil {
 		return nil, err
 	}
 	sp := e.trace.Begin("fused", c.label(), node)
-	out, skipped, err := e.pipe(in, smp, preds, proj, zp)
+	out, skipped, err := e.pipe(st)
 	if err != nil {
 		return nil, err
 	}
-	e.trace.End(sp, int64(in.Len()), int64(out.Len()))
+	e.endFused(sp, st, out.Len(), skipped)
+	return out, nil
+}
+
+// selectFused runs a fused chain's phase 1 alone, for a hash join that
+// reads the chain's rows through their selection: the join input is the
+// scan's own columns plus one pooled slice of the kept row indices.
+func (e *Engine) selectFused(c *fusedChain, seed uint64, ids map[plan.Node]uint64, node int) (joinInput, error) {
+	st, err := e.prepareChain(c, seed, ids)
+	if err != nil {
+		return joinInput{}, err
+	}
+	sp := e.trace.Begin("fused", c.label(), node)
+	s, err := e.selectWindow(st, e.partitionsFor(st.in.Len()), 0)
+	if err != nil {
+		return joinInput{}, err
+	}
+	sel := s.flatten()
+	s.release()
+	e.endFused(sp, st, len(sel), s.skipped)
+	return joinInput{src: st.in, sel: sel}, nil
+}
+
+// endFused closes a fused chain's trace span.
+func (e *Engine) endFused(sp int, st *stages, rowsOut, skipped int) {
+	e.trace.End(sp, int64(st.in.Len()), int64(rowsOut))
 	e.trace.SetSpan(sp, func(s *obs.Span) {
-		s.Partitions = len(ops.Partitions(in.Len(), e.partSize))
+		s.Partitions = len(e.partitionsFor(st.in.Len()))
 		s.Skipped = skipped
-		if smp != nil {
-			s.Fraction = smp.frac()
+		if st.smp != nil {
+			s.Fraction = st.smp.frac()
 		}
 	})
-	return out, nil
 }
 
 // label summarizes a fused chain for its trace span: the scanned
@@ -277,41 +301,61 @@ func (c *fusedChain) label() string {
 	return l
 }
 
+// blockSampled reports whether the chain samples with SYSTEM, whose
+// gather rewrites the sampled relation's lineage to block IDs.
+func (c *fusedChain) blockSampled() bool {
+	if c.sample == nil {
+		return false
+	}
+	_, ok := c.sample.Method.(*sampling.Block)
+	return ok
+}
+
+// stages is the fused kernel's compiled work over one input: the
+// optional sampling stage, the predicates in application order, the
+// optional projection, and the zone pruner the predicates admit.
+type stages struct {
+	in    *batch.Batch
+	smp   *sampleStage
+	preds []*expr.VecCompiled
+	proj  *projSpec
+	zp    *zonePruner
+}
+
 // prepareChain compiles a fused chain's stages once: the scan's columnar
 // input, the (optional) sampling stage with its node-derived sub-seed, the
 // compiled predicates, the (optional) projection, and the zone pruner the
 // predicates admit. Under a prepared statement the kernel compiles come
 // from the statement's snapshot.
-func (e *Engine) prepareChain(c *fusedChain, seed uint64, ids map[plan.Node]uint64) (in *batch.Batch, smp *sampleStage, preds []*expr.VecCompiled, proj *projSpec, zp *zonePruner, err error) {
-	in, err = batch.FromRelation(c.scan.Rel, c.scan.Alias)
+func (e *Engine) prepareChain(c *fusedChain, seed uint64, ids map[plan.Node]uint64) (*stages, error) {
+	in, err := batch.FromRelation(c.scan.Rel, c.scan.Alias)
 	if err != nil {
-		return nil, nil, nil, nil, nil, err
+		return nil, err
 	}
 	// The zone pruner must see the full schema: Batch.Zones keeps the
 	// relation's column indexing even after narrowing.
 	zoneSchema := in.Schema
 	if len(c.scan.Cols) > 0 {
 		if in, err = in.Narrow(c.scan.Cols); err != nil {
-			return nil, nil, nil, nil, nil, err
+			return nil, err
 		}
 	}
+	st := &stages{in: in, zp: e.newZonePruner(c.preds, zoneSchema)}
 	if c.sample != nil {
-		smp, err = newSampleStage(c.sample.Method, in, plan.SubSeed(seed, ids[c.sample]))
+		st.smp, err = newSampleStage(c.sample.Method, in, plan.SubSeed(seed, ids[c.sample]))
 		if err != nil {
-			return nil, nil, nil, nil, nil, fmt.Errorf("engine: %s: %w", c.sample.Label(), err)
+			return nil, fmt.Errorf("engine: %s: %w", c.sample.Label(), err)
 		}
 	}
 	if c.project != nil {
-		proj, err = e.newProjSpec(in.Schema, c.project.Names, c.project.Exprs)
-		if err != nil {
-			return nil, nil, nil, nil, nil, err
+		if st.proj, err = e.newProjSpec(in.Schema, c.project.Names, c.project.Exprs); err != nil {
+			return nil, err
 		}
 	}
-	preds, err = e.compilePreds(c.preds, in.Schema)
-	if err != nil {
-		return nil, nil, nil, nil, nil, err
+	if st.preds, err = e.compilePreds(c.preds, in.Schema); err != nil {
+		return nil, err
 	}
-	return in, smp, preds, proj, e.newZonePruner(c.preds, zoneSchema), nil
+	return st, nil
 }
 
 func (e *Engine) compilePreds(preds []expr.Expr, schema *relation.Schema) ([]*expr.VecCompiled, error) {
@@ -455,23 +499,23 @@ func (ps *projSpec) schemaFor(total int) (*relation.Schema, error) {
 	return schema, nil
 }
 
-// pipe is the fused partition-at-a-time kernel. Phase 1 computes each
-// partition's final selection vector: the sampling stage selects rows,
-// then each predicate in turn narrows the vector in place (Filter), so a
-// predicate reads only the rows still selected and never a row the sample
-// rejected; without a sampling stage the first predicate decides the span
-// directly (FilterRange). Phase 2 prefix-sums partition offsets; phase 3
-// gathers or projects the surviving rows directly into their final output
-// positions. Partition boundaries depend only on the input length and
-// partition size, and phase-3 workers write disjoint ranges, so results
-// are bit-identical at any worker count.
+// pipe is the fused partition-at-a-time kernel. Phase 1 (selectWindow)
+// computes each partition's final selection vector: the sampling stage
+// selects rows, then each predicate in turn narrows the vector in place
+// (Filter), so a predicate reads only the rows still selected and never a
+// row the sample rejected; without a sampling stage the first predicate
+// decides the span directly (FilterRange). Phase 2 prefix-sums partition
+// offsets; phase 3 (gatherWindow) gathers or projects the surviving rows
+// directly into their final output positions. Partition boundaries depend
+// only on the input length and partition size, and phase-3 workers write
+// disjoint ranges, so results are bit-identical at any worker count.
 //
 // Partitions that need no per-row selection — no sampling stage and no
 // predicates — are copied or projected from zero-copy column slices
 // (expr.Vec.Slice + EvalAll) instead of building identity selection
 // vectors and gathering.
-func (e *Engine) pipe(in *batch.Batch, smp *sampleStage, preds []*expr.VecCompiled, proj *projSpec, zp *zonePruner) (*batch.Batch, int, error) {
-	return e.pipeWindow(in, smp, preds, proj, zp, ops.Partitions(in.Len(), e.partSize), 0)
+func (e *Engine) pipe(st *stages) (*batch.Batch, int, error) {
+	return e.pipeWindow(st, e.partitionsFor(st.in.Len()), 0)
 }
 
 // pipeWindow is pipe restricted to a window of consecutive input
@@ -481,39 +525,97 @@ func (e *Engine) pipe(in *batch.Batch, smp *sampleStage, preds []*expr.VecCompil
 // index the full columns) and every sampling decision is keyed on them,
 // so the concatenation of windowed outputs over a cover of the partitions
 // is bit-identical to one full pipe — the property progressive wave
-// execution rests on.
+// execution rests on. The second return value is the number of
+// partitions zone maps skipped.
+func (e *Engine) pipeWindow(st *stages, spans []ops.Span, pBase int) (*batch.Batch, int, error) {
+	s, err := e.selectWindow(st, spans, pBase)
+	if err != nil {
+		return nil, 0, err
+	}
+	out, err := e.gatherWindow(st, s)
+	s.release()
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, s.skipped, nil
+}
+
+// selection is phase 1's result over a window of partitions: each
+// partition's kept absolute row indices, or full when every row of its
+// span survives without a per-row selection.
+type selection struct {
+	spans   []ops.Span
+	sels    [][]int32 // pooled; nil where full, skipped or empty
+	full    []bool
+	offs    []int // offs[p] = kept rows before partition p; offs[len(spans)] = total
+	skipped int
+}
+
+// rows reports the window's kept row count.
+func (s *selection) rows() int { return s.offs[len(s.spans)] }
+
+// release returns the partitions' selection vectors to the pool.
+func (s *selection) release() {
+	for p, sel := range s.sels {
+		if sel != nil {
+			putI32(sel)
+			s.sels[p] = nil
+		}
+	}
+}
+
+// flatten concatenates the window's kept row indices, in partition order,
+// into one pooled slice.
+func (s *selection) flatten() []int32 {
+	out := getI32(s.rows())
+	for p, span := range s.spans {
+		dst := out[s.offs[p]:s.offs[p+1]]
+		if !s.full[p] {
+			copy(dst, s.sels[p])
+			continue
+		}
+		for k := range dst {
+			dst[k] = int32(span.Lo + k)
+		}
+	}
+	return out
+}
+
+// windowRows is the number of input rows a window of spans covers.
+func windowRows(spans []ops.Span) int {
+	if len(spans) == 0 {
+		return 0
+	}
+	return spans[len(spans)-1].Hi - spans[0].Lo
+}
+
+// selectWindow runs the kernel's phases 1 and 2 over a window of
+// partitions.
 //
 // When the input carries a zone map whose granularity matches the engine's
 // partition size, the pruner (if any) runs first per partition: a
 // partition some predicate provably rejects contributes zero rows without
 // its columns ever being touched — on an mmap-backed segment, without its
 // pages ever faulting in. Skipping is safe at any worker count and wave
-// cover because no sampling decision depends on another row's. The second
-// return value is the number of partitions skipped.
-func (e *Engine) pipeWindow(in *batch.Batch, smp *sampleStage, preds []*expr.VecCompiled, proj *projSpec, zp *zonePruner, spans []ops.Span, pBase int) (*batch.Batch, int, error) {
+// cover because no sampling decision depends on another row's.
+func (e *Engine) selectWindow(st *stages, spans []ops.Span, pBase int) (*selection, error) {
+	in, smp, preds, zp := st.in, st.smp, st.preds, st.zp
 	zones := in.Zones
 	if zones == nil || zones.ZoneRows != e.partSize || e.noSkip {
 		zp = nil
 	}
-	n := 0
-	if len(spans) > 0 {
-		n = spans[len(spans)-1].Hi - spans[0].Lo
+	s := &selection{
+		spans: spans,
+		sels:  make([][]int32, len(spans)),
+		full:  make([]bool, len(spans)),
+		offs:  make([]int, len(spans)+1),
 	}
-	sels := make([][]int32, len(spans))
-	full := make([]bool, len(spans)) // whole span survives; sels[p] unused
-	counts := make([]int, len(spans))
+	counts := s.offs[1:] // prefix-summed in place below
 	var skipped []bool
 	if zp != nil {
 		skipped = make([]bool, len(spans))
 	}
-	spanCols := func(span ops.Span) []expr.Vec {
-		cols := make([]expr.Vec, len(in.Cols))
-		for j, c := range in.Cols {
-			cols[j] = c.Slice(span.Lo, span.Hi)
-		}
-		return cols
-	}
-	err := e.forEach(len(spans), n, func(p int) error {
+	err := e.forEach(len(spans), windowRows(spans), func(p int) error {
 		span := spans[p]
 		if zp != nil && zp.skip(zones, pBase+p) {
 			skipped[p] = true
@@ -537,7 +639,7 @@ func (e *Engine) pipeWindow(in *batch.Batch, smp *sampleStage, preds []*expr.Vec
 			sel, rest = kept, preds[1:]
 		default:
 			putI32(sel)
-			full[p], counts[p] = true, span.Hi-span.Lo
+			s.full[p], counts[p] = true, span.Hi-span.Lo
 			return nil
 		}
 		for _, pred := range rest {
@@ -551,43 +653,37 @@ func (e *Engine) pipeWindow(in *batch.Batch, smp *sampleStage, preds []*expr.Vec
 			}
 			sel = kept
 		}
-		sels[p], counts[p] = sel, len(sel)
+		s.sels[p], counts[p] = sel, len(sel)
 		return nil
 	})
-	releaseSels := func() {
-		for p := range sels {
-			if sels[p] != nil {
-				putI32(sels[p])
-				sels[p] = nil
-			}
-		}
-	}
 	if err != nil {
-		releaseSels()
-		return nil, 0, err
+		s.release()
+		return nil, err
 	}
-	nSkipped := 0
-	for _, s := range skipped {
-		if s {
-			nSkipped++
+	for _, sk := range skipped {
+		if sk {
+			s.skipped++
 		}
 	}
-	if nSkipped > 0 {
-		e.skipped.Add(int64(nSkipped))
+	if s.skipped > 0 {
+		e.skipped.Add(int64(s.skipped))
 	}
-
-	offs := make([]int, len(spans)+1)
-	for p, c := range counts {
-		offs[p+1] = offs[p] + c
+	for p := range spans {
+		s.offs[p+1] += s.offs[p]
 	}
-	total := offs[len(spans)]
+	return s, nil
+}
 
-	outSchema := in.Schema
+// gatherWindow is the kernel's phase 3: it gathers or projects the rows s
+// keeps into one owned batch.
+func (e *Engine) gatherWindow(st *stages, s *selection) (*batch.Batch, error) {
+	in, smp, proj := st.in, st.smp, st.proj
+	total := s.rows()
 	var out *batch.Batch
 	if proj != nil {
-		if outSchema, err = proj.schemaFor(total); err != nil {
-			releaseSels()
-			return nil, 0, err
+		outSchema, err := proj.schemaFor(total)
+		if err != nil {
+			return nil, err
 		}
 		out = batch.Alloc(outSchema, in.LSch, total)
 	} else {
@@ -595,13 +691,21 @@ func (e *Engine) pipeWindow(in *batch.Batch, smp *sampleStage, preds []*expr.Vec
 		// dictionary encodings survive the kernel.
 		out = batch.AllocLike(in, total)
 	}
-	err = e.forEach(len(spans), n, func(p int) error {
-		if counts[p] == 0 {
+	spanCols := func(span ops.Span) []expr.Vec {
+		cols := make([]expr.Vec, len(in.Cols))
+		for j, c := range in.Cols {
+			cols[j] = c.Slice(span.Lo, span.Hi)
+		}
+		return cols
+	}
+	err := e.forEach(len(s.spans), windowRows(s.spans), func(p int) error {
+		off, count := s.offs[p], s.offs[p+1]-s.offs[p]
+		if count == 0 {
 			return nil
 		}
-		span, sel, off := spans[p], sels[p], offs[p]
+		span, sel, full := s.spans[p], s.sels[p], s.full[p]
 		switch {
-		case proj == nil && full[p]:
+		case proj == nil && full:
 			for j := range in.Cols {
 				copyVec(in.Cols[j].Slice(span.Lo, span.Hi), out.Cols[j], off)
 			}
@@ -609,10 +713,10 @@ func (e *Engine) pipeWindow(in *batch.Batch, smp *sampleStage, preds []*expr.Vec
 			for j := range in.Cols {
 				batch.GatherVec(in.Cols[j], sel, out.Cols[j], off)
 			}
-		case full[p]:
+		case full:
 			cols := spanCols(span)
 			for j, c := range proj.compiled {
-				v, err := c.EvalAllBind(cols, e.binds, counts[p])
+				v, err := c.EvalAllBind(cols, e.binds, count)
 				if err != nil {
 					return fmt.Errorf("engine: project: %w", err)
 				}
@@ -627,27 +731,27 @@ func (e *Engine) pipeWindow(in *batch.Batch, smp *sampleStage, preds []*expr.Vec
 				copyVec(v, out.Cols[j], off)
 			}
 		}
-		for s := range in.Lin {
-			if full[p] {
-				copy(out.Lin[s][off:off+counts[p]], in.Lin[s][span.Lo:span.Hi])
+		for slot := range in.Lin {
+			if full {
+				copy(out.Lin[slot][off:off+count], in.Lin[slot][span.Lo:span.Hi])
 				continue
 			}
-			if smp != nil && smp.rule.Keying == sampling.ByBlock && s == smp.rule.Slot {
-				dst := out.Lin[s][off:]
+			if smp != nil && smp.rule.Keying == sampling.ByBlock && slot == smp.rule.Slot {
+				dst := out.Lin[slot][off:]
 				for k, i := range sel {
 					dst[k] = smp.rule.BlockID(int(i))
 				}
 				continue
 			}
-			batch.GatherIDs(in.Lin[s], sel, out.Lin[s], off)
+			batch.GatherIDs(in.Lin[slot], sel, out.Lin[slot], off)
 		}
 		return nil
 	})
-	releaseSels()
 	if err != nil {
-		return nil, 0, err
+		out.Release()
+		return nil, err
 	}
-	return out, nSkipped, nil
+	return out, nil
 }
 
 // copyVec copies a dense kernel result into an output column at offset.
@@ -683,7 +787,7 @@ func (e *Engine) execSelectB(in *batch.Batch, pred expr.Expr) (*batch.Batch, err
 	if err != nil {
 		return nil, fmt.Errorf("engine: select: %w", err)
 	}
-	out, _, err := e.pipe(in, nil, []*expr.VecCompiled{c}, nil, e.newZonePruner([]expr.Expr{pred}, in.Schema))
+	out, _, err := e.pipe(&stages{in: in, preds: []*expr.VecCompiled{c}, zp: e.newZonePruner([]expr.Expr{pred}, in.Schema)})
 	return out, err
 }
 
@@ -692,7 +796,7 @@ func (e *Engine) execProjectB(in *batch.Batch, names []string, exprs []expr.Expr
 	if err != nil {
 		return nil, err
 	}
-	out, _, err := e.pipe(in, nil, nil, ps, nil)
+	out, _, err := e.pipe(&stages{in: in, proj: ps})
 	return out, err
 }
 
@@ -711,7 +815,7 @@ func (e *Engine) execSampleB(t *plan.Sample, in *batch.Batch, sub uint64) (*batc
 	if err != nil {
 		return nil, err
 	}
-	out, _, err := e.pipe(in, smp, nil, nil, nil)
+	out, _, err := e.pipe(&stages{in: in, smp: smp})
 	return out, err
 }
 
@@ -745,42 +849,82 @@ func (e *Engine) sampleWORB(in *batch.Batch, r *sampling.Rule) (*batch.Batch, er
 	return in.Gather(sel), nil
 }
 
-// execJoinB is the columnar hash join on the open-addressing joinTable:
-// key hashes computed vectorized per partition (dictionary lookups for
-// encoded string columns), a radix-partitioned parallel build, and a
-// parallel probe emitting (build, probe) index pairs. Chains hold
-// ascending build rows and probe partitions emit in row order, so the
-// output is row-for-row identical to the reference executor's hash join
-// at any worker count. Matches are decided by canonical hash plus
-// EqualAt's full typed compare, never by materialized string keys.
-func (e *Engine) execJoinB(l, r *batch.Batch, leftCol, rightCol string, node int) (*batch.Batch, error) {
-	li, ok := l.Schema.Index(leftCol)
+// joinInput is one input of a hash join: the rows sel selects from src,
+// in sel order. A fused chain under the join hands over its scan's own
+// columns and its phase-1 selection, so its rows are never gathered into a
+// batch of their own; any other input arrives materialized, with the
+// identity selection.
+type joinInput struct {
+	src *batch.Batch
+	sel []int32 // pooled
+}
+
+// release returns the selection to the pool and a materialized source to
+// the batch pools (a scan's columns are a relation snapshot: a no-op).
+func (j joinInput) release() {
+	putI32(j.sel)
+	j.src.Release()
+}
+
+// execJoinInput executes one input of a hash join. A fused chain that
+// neither projects nor samples with SYSTEM (which rewrites lineage to block
+// IDs as it gathers) stops after phase 1.
+func (e *Engine) execJoinInput(n plan.Node, seed uint64, ids map[plan.Node]uint64) (joinInput, error) {
+	if c := fusedChainOf(n); c != nil && c.project == nil && !c.blockSampled() {
+		return e.selectFused(c, seed, ids, int(ids[n]))
+	}
+	b, err := e.execB(n, seed, ids)
+	if err != nil {
+		return joinInput{}, err
+	}
+	sel := getI32(b.Len())
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return joinInput{src: b, sel: sel}, nil
+}
+
+// execJoinB is the columnar hash join on the open-addressing joinTable. It
+// reads both inputs through their selections: key hashes are computed
+// vectorized per partition (dictionary lookups for encoded string
+// columns), the build is radix-partitioned and parallel over the input
+// with fewer selected rows, and a parallel probe in selection order emits
+// (build, probe) source-row pairs, through which the output is gathered
+// once from the inputs' source columns and lineage. Chains hold ascending
+// build rows and probe partitions emit in selection order, so the output
+// is row-for-row identical to the reference executor's hash join at any
+// worker count. Matches are decided by canonical hash plus EqualAt's full
+// typed compare, never by materialized string keys.
+func (e *Engine) execJoinB(l, r joinInput, leftCol, rightCol string, node int) (*batch.Batch, error) {
+	li, ok := l.src.Schema.Index(leftCol)
 	if !ok {
 		return nil, fmt.Errorf("engine: hash join: left input has no column %q", leftCol)
 	}
-	ri, ok := r.Schema.Index(rightCol)
+	ri, ok := r.src.Schema.Index(rightCol)
 	if !ok {
 		return nil, fmt.Errorf("engine: hash join: right input has no column %q", rightCol)
 	}
-	cols, err := l.Schema.Concat(r.Schema)
+	cols, err := l.src.Schema.Concat(r.src.Schema)
 	if err != nil {
 		return nil, fmt.Errorf("engine: hash join: %w", err)
 	}
-	lsch, err := l.LSch.Concat(r.LSch)
+	lsch, err := l.src.LSch.Concat(r.src.LSch)
 	if err != nil {
 		return nil, fmt.Errorf("engine: hash join: %w", err)
 	}
-	buildLeft := l.Len() <= r.Len()
+	buildLeft := len(l.sel) <= len(r.sel)
 	build, probe := l, r
 	buildKey, probeKey := li, ri
 	if !buildLeft {
 		build, probe = r, l
 		buildKey, probeKey = ri, li
 	}
-	buildVec, probeVec := build.Cols[buildKey], probe.Cols[probeKey]
+	buildVec, probeVec := build.src.Cols[buildKey], probe.src.Cols[probeKey]
+	bsel, psel := build.sel, probe.sel
 
-	// Vectorized build-side hashing, then the radix-partitioned build.
-	n := build.Len()
+	// Vectorized build-side hashing, then the radix-partitioned build over
+	// build positions (indices into bsel).
+	n := len(bsel)
 	var joinLbl string
 	if e.trace != nil {
 		joinLbl = leftCol + " = " + rightCol
@@ -790,7 +934,7 @@ func (e *Engine) execJoinB(l, r *batch.Batch, leftCol, rightCol string, node int
 	bspans := e.partitionsFor(n)
 	err = e.forEach(len(bspans), n, func(p int) error {
 		span := bspans[p]
-		batch.HashVecInto(buildVec, span.Lo, span.Hi, bh[span.Lo:span.Hi])
+		batch.HashVecSel(buildVec, bsel[span.Lo:span.Hi], bh[span.Lo:span.Hi])
 		return nil
 	})
 	if err != nil {
@@ -798,56 +942,61 @@ func (e *Engine) execJoinB(l, r *batch.Batch, leftCol, rightCol string, node int
 		return nil, err
 	}
 	table, err := e.buildJoinTable(n, bh, func(i, j int32) bool {
-		return batch.EqualAt(buildVec, int(i), buildVec, int(j))
+		return batch.EqualAt(buildVec, int(bsel[i]), buildVec, int(bsel[j]))
 	})
+	putU64(bh)
 	if err != nil {
-		putU64(bh)
 		return nil, err
 	}
-	putU64(bh)
 	e.trace.End(buildSp, int64(n), int64(n))
 	e.trace.SetSpan(buildSp, func(s *obs.Span) { s.Partitions = len(bspans) })
 
-	// Parallel probe into per-partition (build, probe) index pairs.
+	// Parallel probe into per-partition (build, probe) source-row pairs.
 	probeSp := e.trace.Begin("join-probe", joinLbl, node)
-	pspans := e.partitionsFor(probe.Len())
+	pspans := e.partitionsFor(len(psel))
 	bIdx := make([][]int32, len(pspans))
 	pIdx := make([][]int32, len(pspans))
-	err = e.forEach(len(pspans), probe.Len(), func(p int) error {
-		span := pspans[p]
-		ph := getU64(span.Hi - span.Lo)
-		batch.HashVecInto(probeVec, span.Lo, span.Hi, ph)
-		bs, ps := getI32(span.Hi - span.Lo)[:0], getI32(span.Hi - span.Lo)[:0]
+	err = e.forEach(len(pspans), len(psel), func(p int) error {
+		rows := psel[pspans[p].Lo:pspans[p].Hi]
+		ph, pv := getU64(len(rows)), getU64(len(rows))
+		batch.HashVecSel(probeVec, rows, ph)
+		table.homes(ph, pv)
+		bs, ps := getI32(len(rows))[:0], getI32(len(rows))[:0]
 		// One closure per partition: pi advances per row, so probing
 		// allocates nothing.
 		pi := 0
-		eq := func(row int32) bool { return batch.EqualAt(probeVec, pi, buildVec, int(row)) }
-		for i := span.Lo; i < span.Hi; i++ {
-			pi = i
-			for bi := table.head(ph[i-span.Lo], eq); bi >= 0; bi = table.chainNext(bi) {
-				bs = append(bs, bi)
-				ps = append(ps, int32(i))
+		eq := func(b int32) bool { return batch.EqualAt(probeVec, pi, buildVec, int(bsel[b])) }
+		for k, i := range rows {
+			pi = int(i)
+			for b := table.head(ph[k], pv[k], eq); b >= 0; b = table.chainNext(b) {
+				bs = append(bs, bsel[b])
+				ps = append(ps, i)
 			}
 		}
 		putU64(ph)
+		putU64(pv)
 		bIdx[p], pIdx[p] = bs, ps
 		return nil
 	})
 	table.release()
 	if err != nil {
+		for p := range bIdx {
+			putI32(bIdx[p])
+			putI32(pIdx[p])
+		}
 		return nil, err
 	}
 	offs := make([]int, len(pspans)+1)
 	for p := range bIdx {
 		offs[p+1] = offs[p] + len(bIdx[p])
 	}
-	out := batch.AllocJoined(l, r, cols, lsch, offs[len(pspans)])
-	err = e.forEach(len(pspans), probe.Len(), func(p int) error {
+	out := batch.AllocJoined(l.src, r.src, cols, lsch, offs[len(pspans)])
+	err = e.forEach(len(pspans), len(psel), func(p int) error {
 		lSel, rSel := bIdx[p], pIdx[p]
 		if !buildLeft {
 			lSel, rSel = pIdx[p], bIdx[p]
 		}
-		gatherConcat(l, r, lSel, rSel, out, offs[p])
+		gatherConcat(l.src, r.src, lSel, rSel, out, offs[p])
 		return nil
 	})
 	for p := range bIdx {
@@ -855,9 +1004,10 @@ func (e *Engine) execJoinB(l, r *batch.Batch, leftCol, rightCol string, node int
 		putI32(pIdx[p])
 	}
 	if err != nil {
+		out.Release()
 		return nil, err
 	}
-	e.trace.End(probeSp, int64(probe.Len()), int64(out.Len()))
+	e.trace.End(probeSp, int64(len(psel)), int64(out.Len()))
 	e.trace.SetSpan(probeSp, func(s *obs.Span) { s.Partitions = len(pspans) })
 	return out, nil
 }

@@ -156,23 +156,30 @@ func (e *Engine) forEach(parts, rows int, fn func(p int) error) error {
 // parallelism for join/union/intersect inputs). The left plan runs on the
 // calling goroutine and a left error wins.
 func (e *Engine) both(l, r plan.Node, seed uint64, ids map[plan.Node]uint64) (lb, rb *batch.Batch, err error) {
+	return both(e, l, r, func(n plan.Node) (*batch.Batch, error) { return e.execB(n, seed, ids) })
+}
+
+// both runs exec on two independent subplans, concurrently when the engine
+// has more than one worker. Both results are returned even on error, so a
+// caller can release whichever side succeeded.
+func both[T any](e *Engine, l, r plan.Node, exec func(plan.Node) (T, error)) (lv, rv T, err error) {
 	if e.workers <= 1 {
-		if lb, err = e.execB(l, seed, ids); err != nil {
-			return nil, nil, err
+		if lv, err = exec(l); err != nil {
+			return lv, rv, err
 		}
-		rb, err = e.execB(r, seed, ids)
-		return lb, rb, err
+		rv, err = exec(r)
+		return lv, rv, err
 	}
 	var rerr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		rb, rerr = e.execB(r, seed, ids)
+		rv, rerr = exec(r)
 	}()
-	lb, err = e.execB(l, seed, ids)
+	lv, err = exec(l)
 	<-done
 	if err == nil {
 		err = rerr
 	}
-	return lb, rb, err
+	return lv, rv, err
 }

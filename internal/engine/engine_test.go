@@ -2,11 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/sampling-algebra/gus/internal/expr"
 	"github.com/sampling-algebra/gus/internal/ops"
 	"github.com/sampling-algebra/gus/internal/plan"
+	"github.com/sampling-algebra/gus/internal/relation"
 	"github.com/sampling-algebra/gus/internal/sampling"
 	"github.com/sampling-algebra/gus/internal/tpch"
 )
@@ -62,12 +64,24 @@ func sameRows(t *testing.T, label string, a, b *ops.Rows) {
 			t.Fatalf("%s: row %d lineage %v vs %v", label, i, a.Data[i].Lin, b.Data[i].Lin)
 		}
 		for j := range a.Data[i].Vals {
-			if a.Data[i].Vals[j] != b.Data[i].Vals[j] {
+			if av, bv := a.Data[i].Vals[j], b.Data[i].Vals[j]; av != bv && !bothNaN(av, bv) {
 				t.Fatalf("%s: row %d col %d: %v vs %v", label, i, j,
 					a.Data[i].Vals[j], b.Data[i].Vals[j])
 			}
 		}
 	}
+}
+
+// bothNaN reports whether a and b are both float NaNs, which sameRows
+// counts as equal: NaN join keys match each other, so joined rows carry
+// them.
+func bothNaN(a, b relation.Value) bool {
+	if a.Kind() != relation.KindFloat || b.Kind() != relation.KindFloat {
+		return false
+	}
+	af, _ := a.AsFloat()
+	bf, _ := b.AsFloat()
+	return math.IsNaN(af) && math.IsNaN(bf)
 }
 
 // TestDeterministicAcrossWorkerCounts is the engine's core contract:

@@ -2,12 +2,14 @@
 //
 // joinTable is a uint64 → ascending build-row chain multimap replacing the
 // map[string][]int32 (with a materialized string key per row) both join
-// paths used to build. Layout is fully flat: an open-addressing slot array
-// (linear probing, power-of-two capacity) whose entries point at the FIRST
-// build row of a key, plus next/tail arrays threading the remaining rows of
-// each key in ascending row order — no per-key allocation anywhere.
-// Collisions fall back to a caller-supplied full-key equality (typed column
-// compare), so hash values never decide matches.
+// paths used to build. Layout is fully flat: an open-addressing array of
+// packed uint64 slots (linear probing, power-of-two capacity), each holding
+// a 32-bit tag of the key hash and the FIRST build row of a key, plus a
+// next array threading the remaining rows of each key in ascending row
+// order — no per-key allocation anywhere. A probe reads one slot per
+// step: the tag rejects almost every colliding key, and a tag hit falls
+// back to a caller-supplied full-key equality (typed column compare), so
+// hash values never decide matches.
 //
 // The parallel build is radix-partitioned: rows scatter into radix buckets
 // by their hash's top bits (a counting sort over fixed partitions, so the
@@ -56,10 +58,8 @@ func putU64(s []uint64) { poolU64.Put(s) }
 
 // joinTable is the built multimap: probe with head(), walk with next().
 type joinTable struct {
-	slots []int32  // flat slot storage, all radix regions; head row+1, 0 empty
-	thash []uint64 // parallel to slots
+	slots []uint64 // flat slot storage, all radix regions; slotTag(h) | head row+1, 0 empty
 	next  []int32  // next[i] = next build row with i's key, -1 at chain end
-	tail  []int32  // tail[h] = last row of head h's chain (valid at heads)
 
 	radixBits uint
 	regionOff []int32 // region start per radix (len R+1), in slots
@@ -68,10 +68,8 @@ type joinTable struct {
 
 // release returns the table's scratch to the pools.
 func (t *joinTable) release() {
-	putI32(t.slots)
-	putU64(t.thash)
+	putU64(t.slots)
 	putI32(t.next)
-	putI32(t.tail)
 	putI32(t.regionOff)
 	putI32(t.regionCap)
 }
@@ -82,20 +80,42 @@ func (t *joinTable) region(h uint64) (base int32, mask uint64) {
 	return t.regionOff[r], uint64(t.regionCap[r] - 1)
 }
 
-// head returns the first build row whose key matches (h, eq), or -1.
-// eq(row) is consulted only on stored-hash equality — the collision
-// fallback to a full-key compare.
-func (t *joinTable) head(h uint64, eq func(row int32) bool) int32 {
-	base, mask := t.region(h)
-	for s := h & mask; ; s = (s + 1) & mask {
-		v := t.slots[base+int32(s)]
-		if v == 0 {
-			return -1
-		}
-		if t.thash[base+int32(s)] == h && eq(v-1) {
-			return v - 1
-		}
+// rowMask selects a slot's head row+1; the bits above it hold the tag.
+const rowMask = 1<<32 - 1
+
+// slotTag is the part of key hash h a slot keeps, in the slot's top 32
+// bits: hash bits 24–55, which neither the radix (the top ≤ 8 bits) nor
+// the slot index (the low log₂ capacity bits, fewer than 24 for any region
+// under 16 M slots) already fixes, so keys that meet at one slot almost
+// always differ in it.
+func slotTag(h uint64) uint64 { return h << 8 &^ rowMask }
+
+// homes fills vs[k] with the contents of hash hs[k]'s home slot. The loads
+// are independent of each other, so the CPU keeps many of the table's
+// cache misses in flight at once; a probe loop that loaded each slot just
+// before using it would wait for them one row at a time.
+func (t *joinTable) homes(hs, vs []uint64) {
+	for k, h := range hs {
+		base, mask := t.region(h)
+		vs[k] = t.slots[base+int32(h&mask)]
 	}
+}
+
+// head returns the first build row whose key matches (h, eq), or -1, given
+// v, the contents of h's home slot (homes): linear probing from the home
+// slot to the first tag hit whose key matches, or to an empty slot. eq(row)
+// is consulted only on a tag hit — the collision fallback to a full-key
+// compare.
+func (t *joinTable) head(h, v uint64, eq func(row int32) bool) int32 {
+	base, mask := t.region(h)
+	tag := slotTag(h)
+	for s := h & mask; v != 0; v = t.slots[base+int32(s)] {
+		if v&^rowMask == tag && eq(int32(v&rowMask)-1) {
+			return int32(v&rowMask) - 1
+		}
+		s = (s + 1) & mask
+	}
+	return -1
 }
 
 // chainNext returns the build row after i in its key's chain, or -1.
@@ -129,7 +149,6 @@ func (e *Engine) buildJoinTable(n int, hashes []uint64, eq func(i, j int32) bool
 
 	t := &joinTable{
 		next:      getI32(n),
-		tail:      getI32(n),
 		radixBits: radixBits,
 		regionOff: getI32(R + 1),
 		regionCap: getI32(R),
@@ -171,11 +190,7 @@ func (e *Engine) buildJoinTable(n int, hashes []uint64, eq func(i, j int32) bool
 		slotTotal += t.regionCap[r]
 	}
 	t.regionOff[R] = slotTotal
-	t.slots = getI32(int(slotTotal))
-	for i := range t.slots {
-		t.slots[i] = 0
-	}
-	t.thash = getU64(int(slotTotal))
+	t.slots = getU64(int(slotTotal)) // each radix clears its own region below
 
 	// rowStart[r] = first index of radix r's rows in byRadix; spanOff walks
 	// (radix, partition) in order so the scatter is a stable counting sort.
@@ -218,25 +233,28 @@ func (e *Engine) buildJoinTable(n int, hashes []uint64, eq func(i, j int32) bool
 	}
 
 	// Per-radix insertion: each radix owns a disjoint slot region and the
-	// next/tail entries of its own rows, so workers never share memory.
+	// next entries of its own rows, so workers never share memory. Rows go
+	// in DESCENDING order and each becomes its key's new head, so every
+	// chain read from its head is ascending without a tail pointer.
 	err = e.forEach(R, n, func(r int) error {
 		base := t.regionOff[r]
 		mask := uint64(t.regionCap[r] - 1)
-		for _, i := range byRadix[rowStart[r]:rowStart[r+1]] {
+		clear(t.slots[base : base+t.regionCap[r]])
+		rows := byRadix[rowStart[r]:rowStart[r+1]]
+		for k := len(rows) - 1; k >= 0; k-- {
+			i := rows[k]
 			h := hashes[i]
+			tag := slotTag(h)
 			t.next[i] = -1
 			for s := h & mask; ; s = (s + 1) & mask {
 				v := t.slots[base+int32(s)]
 				if v == 0 {
-					t.slots[base+int32(s)] = i + 1
-					t.thash[base+int32(s)] = h
-					t.tail[i] = i
+					t.slots[base+int32(s)] = tag | uint64(i+1)
 					break
 				}
-				if t.thash[base+int32(s)] == h && eq(v-1, i) {
-					head := v - 1
-					t.next[t.tail[head]] = i
-					t.tail[head] = i
+				if head := int32(v&rowMask) - 1; v&^rowMask == tag && eq(head, i) {
+					t.next[i] = head
+					t.slots[base+int32(s)] = tag | uint64(i+1)
 					break
 				}
 			}

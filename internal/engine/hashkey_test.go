@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/sampling-algebra/gus/internal/batch"
@@ -41,12 +42,9 @@ func TestJoinTableCompositeAliasKeys(t *testing.T) {
 		want := [][]int32{{0, 4}, {1}, {2}, {3}, {0, 4}}
 		for i := 0; i < n; i++ {
 			pi := i
-			var got []int32
-			for bi := table.head(hashes[i], func(row int32) bool {
+			got := table.matches(hashes[i], func(row int32) bool {
 				return batch.EqualAt(c1, pi, c1, int(row)) && batch.EqualAt(c2, pi, c2, int(row))
-			}); bi >= 0; bi = table.chainNext(bi) {
-				got = append(got, bi)
-			}
+			})
 			if len(got) != len(want[i]) {
 				t.Fatalf("workers=%d row %d: matches %v, want %v (composite keys alias)", workers, i, got, want[i])
 			}
@@ -54,6 +52,74 @@ func TestJoinTableCompositeAliasKeys(t *testing.T) {
 				if got[k] != want[i][k] {
 					t.Fatalf("workers=%d row %d: matches %v, want %v", workers, i, got, want[i])
 				}
+			}
+		}
+		table.release()
+	}
+}
+
+// matches probes the table as the join does and returns the chain of build
+// rows matching (h, eq).
+func (t *joinTable) matches(h uint64, eq func(row int32) bool) []int32 {
+	home := make([]uint64, 1)
+	t.homes([]uint64{h}, home)
+	var rows []int32
+	for b := t.head(h, home[0], eq); b >= 0; b = t.chainNext(b) {
+		rows = append(rows, b)
+	}
+	return rows
+}
+
+// TestJoinTablePackedSlotCollisions feeds buildJoinTable hand-made hashes
+// so that distinct keys meet in the packed slots: keys sharing the whole
+// hash, and keys sharing the 32-bit tag while differing in the bits the
+// slot index or the radix read. Only EqualAt can separate them, and every
+// key's chain must hold exactly its rows in ascending order, at radix bits
+// 0 and 8.
+func TestJoinTablePackedSlotCollisions(t *testing.T) {
+	const h0 = 0x9e3779b97f4a7c15
+	hashOf := map[int64]uint64{
+		10: h0,
+		20: h0,             // equal full hash
+		30: h0 ^ 1,         // equal tag, next home slot
+		40: h0 ^ 1<<60,     // equal tag and slot index, another radix at 8 bits
+		50: h0 ^ 1<<23,     // equal tag, slot index differs only in a large region
+		60: h0 ^ 1<<40,     // different tag, same home: rejected without EqualAt
+		70: h0 ^ 1 ^ 1<<60, // equal tag, next slot, another radix
+	}
+	for k, h := range hashOf {
+		if k != 60 && slotTag(h) != slotTag(h0) {
+			t.Fatalf("key %d: tag %#x, want the shared tag %#x", k, slotTag(h), slotTag(h0))
+		}
+	}
+	if slotTag(hashOf[60]) == slotTag(h0) {
+		t.Fatal("key 60 must differ in its tag")
+	}
+	keys := []int64{10, 20, 30, 10, 40, 20, 50, 60, 10, 70, 30, 20, 40, 60, 50, 10, 70, 20}
+	vec := expr.Vec{Kind: relation.KindInt, I: keys}
+	hashes := make([]uint64, len(keys))
+	want := map[int64][]int32{}
+	for i, k := range keys {
+		hashes[i] = hashOf[k]
+		want[k] = append(want[k], int32(i))
+	}
+	eq := func(i, j int32) bool { return batch.EqualAt(vec, int(i), vec, int(j)) }
+	for _, tc := range []struct {
+		workers   int
+		radixBits uint
+	}{{1, 0}, {64, 8}} {
+		e := New(Config{Workers: tc.workers, PartitionSize: 4, SerialCutoff: 1})
+		table, err := e.buildJoinTable(len(keys), hashes, eq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if table.radixBits != tc.radixBits {
+			t.Fatalf("workers=%d: radix bits %d, want %d", tc.workers, table.radixBits, tc.radixBits)
+		}
+		for i, k := range keys {
+			got := table.matches(hashes[i], func(row int32) bool { return batch.EqualAt(vec, i, vec, int(row)) })
+			if fmt.Sprint(got) != fmt.Sprint(want[k]) {
+				t.Fatalf("radix bits %d: key %d (row %d) matches rows %v, want %v", tc.radixBits, k, i, got, want[k])
 			}
 		}
 		table.release()

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"github.com/sampling-algebra/gus/internal/batch"
-	"github.com/sampling-algebra/gus/internal/expr"
 	"github.com/sampling-algebra/gus/internal/ops"
 	"github.com/sampling-algebra/gus/internal/plan"
 	"github.com/sampling-algebra/gus/internal/relation"
@@ -29,12 +28,8 @@ import (
 // use from one goroutine at a time.
 type WaveExec struct {
 	e     *Engine
-	in    *batch.Batch
+	st    *stages
 	spans []ops.Span // full partitioning of the scan input
-	smp   *sampleStage
-	preds []*expr.VecCompiled
-	proj  *projSpec
-	zp    *zonePruner
 	alias string
 }
 
@@ -56,18 +51,14 @@ func (e *Engine) PrepareWaves(root plan.Node, seed uint64) (*WaveExec, error) {
 		}
 		c = &fusedChain{scan: s}
 	}
-	in, smp, preds, proj, zp, err := e.prepareChain(c, seed, ids)
+	st, err := e.prepareChain(c, seed, ids)
 	if err != nil {
 		return nil, err
 	}
 	return &WaveExec{
 		e:     e,
-		in:    in,
-		spans: ops.Partitions(in.Len(), e.partSize),
-		smp:   smp,
-		preds: preds,
-		proj:  proj,
-		zp:    zp,
+		st:    st,
+		spans: e.partitionsFor(st.in.Len()),
 		alias: c.scan.LineageName(),
 	}, nil
 }
@@ -77,7 +68,7 @@ func (e *Engine) PrepareWaves(root plan.Node, seed uint64) (*WaveExec, error) {
 func (w *WaveExec) Partitions() int { return len(w.spans) }
 
 // InputRows reports the scanned relation's total row count.
-func (w *WaveExec) InputRows() int { return w.in.Len() }
+func (w *WaveExec) InputRows() int { return w.st.in.Len() }
 
 // RowsThrough reports how many input rows partitions [0, p) cover.
 func (w *WaveExec) RowsThrough(p int) int {
@@ -99,10 +90,10 @@ func (w *WaveExec) Alias() string { return w.alias }
 // (empty waves fall back to pipe's float-default schema and hold no
 // rows). Callers can compile expressions against it once per stream.
 func (w *WaveExec) OutSchema() (*relation.Schema, error) {
-	if w.proj == nil {
-		return w.in.Schema, nil
+	if w.st.proj == nil {
+		return w.st.in.Schema, nil
 	}
-	return w.proj.schemaFor(1)
+	return w.st.proj.schemaFor(1)
 }
 
 // ExecuteWave runs the fused kernel over input partitions [pLo, pHi) and
@@ -113,6 +104,6 @@ func (w *WaveExec) ExecuteWave(pLo, pHi int) (*batch.Batch, error) {
 	if pLo < 0 || pHi < pLo || pHi > len(w.spans) {
 		return nil, fmt.Errorf("engine: wave [%d,%d) outside [0,%d)", pLo, pHi, len(w.spans))
 	}
-	out, _, err := w.e.pipeWindow(w.in, w.smp, w.preds, w.proj, w.zp, w.spans[pLo:pHi], pLo)
+	out, _, err := w.e.pipeWindow(w.st, w.spans[pLo:pHi], pLo)
 	return out, err
 }

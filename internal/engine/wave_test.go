@@ -73,7 +73,7 @@ func waveRows(t *testing.T, e *Engine, root plan.Node, seed uint64, waveParts in
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := &ops.Rows{Cols: schema, LSch: w.in.LSch}
+	got := &ops.Rows{Cols: schema, LSch: w.st.in.LSch}
 	for lo := 0; lo < w.Partitions(); lo += waveParts {
 		b, err := w.ExecuteWave(lo, min(lo+waveParts, w.Partitions()))
 		if err != nil {
