@@ -1,6 +1,7 @@
 package gus
 
 import (
+	"context"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -177,5 +178,56 @@ func TestJoinBytesPerQuery(t *testing.T) {
 	const boundMB = 0.7 * 4.63
 	if perQuery > boundMB {
 		t.Fatalf("%.2f MB allocated per join query, bound %.2f MB: the join's inputs are being gathered again", perQuery, boundMB)
+	}
+}
+
+// TestProgressiveBytesPerStream bounds the bytes one progressive stream
+// allocates: BenchmarkProgressive's to-1%-CI stream, which stops after
+// about half the scan. A wave recycles the previous wave's batch, the
+// accumulator's spans come from (and go back to) pools, and an item's
+// value buffers live for the whole stream, so a stream allocates little
+// beyond its kernel outputs and one wave's batch. The bound is 0.3× the
+// 3.29 MB per stream this test measured when every wave allocated all of
+// those afresh (3.45 MB/op in BenchmarkProgressive/to-1pct-ci); 0.66 MB is
+// measured with the reuse (0.70 MB/op). Skipped under the race detector,
+// which drops pool Puts at random.
+func TestProgressiveBytesPerStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs a stream of many waves")
+	}
+	if raceEnabled {
+		t.Skip("race detector drops random sync.Pool puts; allocated bytes are not stable")
+	}
+	db := Open()
+	if err := db.AttachTPCHConfig(tpch.Config{Orders: 30000, Customers: 3000, Parts: 750, Seed: 31}); err != nil {
+		t.Fatal(err)
+	}
+	const sql = `
+SELECT SUM(l_extendedprice*(1.0-l_discount)) AS revenue
+FROM lineitem TABLESAMPLE (90 PERCENT)
+WHERE l_quantity < 45.0`
+	stream := func() {
+		ch, wait := db.QueryProgressive(context.Background(), sql, WithSeed(7), WithTargetRelativeCI(0.01))
+		for range ch {
+		}
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		stream() // warm the plan cache and the pools
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		stream()
+	}
+	runtime.ReadMemStats(&after)
+	perStream := float64(after.TotalAlloc-before.TotalAlloc) / runs / (1 << 20)
+	t.Logf("%.2f MB allocated per stream", perStream)
+	const boundMB = 0.3 * 3.29
+	if perStream > boundMB {
+		t.Fatalf("%.2f MB allocated per progressive stream, bound %.2f MB: a wave buffer is being allocated afresh again", perStream, boundMB)
 	}
 }

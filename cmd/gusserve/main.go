@@ -46,6 +46,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -198,14 +199,14 @@ type StreamUpdate struct {
 
 // ValueResponse mirrors gus.Value.
 type ValueResponse struct {
-	Name        string   `json:"name"`
-	Kind        string   `json:"kind"`
-	Value       float64  `json:"value"`
-	Estimate    float64  `json:"estimate"`
-	StdErr      float64  `json:"stdErr"`
-	CILow       float64  `json:"ciLow"`
-	CIHigh      float64  `json:"ciHigh"`
-	Approximate bool     `json:"approximate,omitempty"`
+	Name        string  `json:"name"`
+	Kind        string  `json:"kind"`
+	Value       float64 `json:"value"`
+	Estimate    float64 `json:"estimate"`
+	StdErr      float64 `json:"stdErr"`
+	CILow       float64 `json:"ciLow"`
+	CIHigh      float64 `json:"ciHigh"`
+	Approximate bool    `json:"approximate,omitempty"`
 	// Reliability grades the CI's own trustworthiness (A–D) from the
 	// variance diagnostics; varianceRse is the relative standard error
 	// of the variance estimate itself. Always present on /query results
@@ -213,6 +214,32 @@ type ValueResponse struct {
 	Reliability string   `json:"reliability,omitempty"`
 	VarianceRSE *float64 `json:"varianceRse,omitempty"`
 	Exact       *float64 `json:"exact,omitempty"`
+}
+
+// MarshalJSON writes the floats JSON cannot represent (NaN, ±Inf — a SUM
+// over a column holding a NaN) as null, as stream updates do; finite
+// values encode exactly as the plain struct would.
+func (v ValueResponse) MarshalJSON() ([]byte, error) {
+	type wire struct {
+		Name        string   `json:"name"`
+		Kind        string   `json:"kind"`
+		Value       *float64 `json:"value"`
+		Estimate    *float64 `json:"estimate"`
+		StdErr      *float64 `json:"stdErr"`
+		CILow       *float64 `json:"ciLow"`
+		CIHigh      *float64 `json:"ciHigh"`
+		Approximate bool     `json:"approximate,omitempty"`
+		Reliability string   `json:"reliability,omitempty"`
+		VarianceRSE *float64 `json:"varianceRse,omitempty"`
+		Exact       *float64 `json:"exact,omitempty"`
+	}
+	return json.Marshal(wire{
+		Name: v.Name, Kind: v.Kind,
+		Value: fptr(v.Value), Estimate: fptr(v.Estimate), StdErr: fptr(v.StdErr),
+		CILow: fptr(v.CILow), CIHigh: fptr(v.CIHigh),
+		Approximate: v.Approximate, Reliability: v.Reliability,
+		VarianceRSE: v.VarianceRSE, Exact: v.Exact,
+	})
 }
 
 // GroupResponse is one GROUP BY bucket.
@@ -260,14 +287,6 @@ func shapeKey(sql string) string {
 		shape = shape[:117] + "..."
 	}
 	return shape
-}
-
-// sampleRowsOf tolerates the nil result of a failed query.
-func sampleRowsOf(res *gus.Result) int {
-	if res == nil {
-		return 0
-	}
-	return res.SampleRows
 }
 
 // logQuery emits the structured request log line.
@@ -512,9 +531,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tr := &gus.Trace{QueryID: qid}
 	start := time.Now()
 	res, err := s.runRequest(r.Context(), req, false, tr)
+	elapsed := time.Since(start)
 	s.metrics.queries.Inc()
-	logQuery("query", qid, req.SQL, time.Since(start), sampleRowsOf(res), err)
 	if err != nil {
+		logQuery("query", qid, req.SQL, elapsed, 0, err)
 		writeError(w, http.StatusBadRequest, qid, err)
 		return
 	}
@@ -531,15 +551,16 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var exact *gus.Result
 	if req.Exact {
 		if exact, err = s.runRequest(r.Context(), req, true, nil); err != nil {
-			writeError(w, http.StatusBadRequest, qid, fmt.Errorf("exact: %w", err))
+			err = fmt.Errorf("exact: %w", err)
+			logQuery("query", qid, req.SQL, elapsed, res.SampleRows, err)
+			writeError(w, http.StatusBadRequest, qid, err)
 			return
 		}
 	}
 	for i, v := range res.Values {
 		rv := toValueResponse(v)
 		if exact != nil && i < len(exact.Values) {
-			ev := exact.Values[i].Value
-			rv.Exact = &ev
+			rv.Exact = fptr(exact.Values[i].Value)
 		}
 		resp.Values = append(resp.Values, rv)
 	}
@@ -558,14 +579,29 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		for i, v := range g.Values {
 			rv := toValueResponse(v)
 			if i < len(ev) {
-				x := ev[i].Value
-				rv.Exact = &x
+				rv.Exact = fptr(ev[i].Value)
 			}
 			gr.Values = append(gr.Values, rv)
 		}
 		resp.Groups = append(resp.Groups, gr)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	replyQuery(w, qid, req.SQL, elapsed, res.SampleRows, resp)
+}
+
+// replyQuery encodes a /query answer before the status line goes out,
+// then logs the request and sends the answer. An answer that cannot be
+// encoded is logged as an error and becomes a 500 error body carrying the
+// query ID, not a 200 with a truncated body.
+func replyQuery(w http.ResponseWriter, qid, sql string, elapsed time.Duration, sampleRows int, resp any) {
+	body, err := encodeJSON(resp)
+	if err != nil {
+		err = fmt.Errorf("encode response: %w", err)
+		logQuery("query", qid, sql, elapsed, sampleRows, err)
+		writeError(w, http.StatusInternalServerError, qid, err)
+		return
+	}
+	logQuery("query", qid, sql, elapsed, sampleRows, nil)
+	writeBody(w, http.StatusOK, body)
 }
 
 // handleQueryStream runs a query as online aggregation and streams one
@@ -682,6 +718,7 @@ func fptr(v float64) *float64 {
 	}
 	return &v
 }
+
 
 func toStreamUpdate(u gus.Update, qid string, start time.Time) StreamUpdate {
 	out := StreamUpdate{
@@ -810,11 +847,33 @@ func registerDebug(mux *http.ServeMux) {
 	mux.Handle("/debug/vars", expvar.Handler())
 }
 
+// writeJSON encodes v, then writes it with status; a value that fails to
+// encode is answered with a 500 error body instead.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := encodeJSON(v)
+	if err != nil {
+		log.Printf("gusserve: encode response: %v", err)
+		writeError(w, http.StatusInternalServerError, "", fmt.Errorf("encode response: %w", err))
+		return
+	}
+	writeBody(w, status, body)
+}
+
+// encodeJSON renders v as one newline-terminated JSON document.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// writeBody sends an encoded JSON document.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("gusserve: encode response: %v", err)
+	if _, err := w.Write(body); err != nil {
+		log.Printf("gusserve: write response: %v", err)
 	}
 }
 

@@ -262,11 +262,18 @@ func executeOnce(eng *engine.Engine, b bound, o *queryOptions) (*Result, tally, 
 		return nil, t, err
 	}
 	o.trace.End(gsp, int64(sample.Len()), int64(len(keys)))
+	// Each bucket is a pooled gather of the sample, dead once its values
+	// are computed (Value keeps scalars and its own ŷ), so it goes back to
+	// the pools before the next bucket allocates.
 	for gi, key := range keys {
 		vs, err := values(parts[gi])
 		if err != nil {
+			for _, p := range parts[gi:] {
+				p.Release()
+			}
 			return nil, t, fmt.Errorf("gus: group %q: %w", key, err)
 		}
+		parts[gi].Release()
 		res.Groups = append(res.Groups, Group{Key: key, Values: vs})
 	}
 	return res, t, nil

@@ -1,7 +1,9 @@
 // Buffer recycling for owned batches and engine scratch. The fused
-// kernel's gather outputs — one batch per query on the one-shot path — are
-// the engine's dominant steady-state allocation: a few dense numeric
-// columns plus lineage IDs, identically shaped from query to query.
+// kernel's gather outputs — one batch per query on the one-shot path, one
+// per wave on the progressive path, where WaveExec releases each wave's
+// batch as the next wave starts — are the engine's dominant steady-state
+// allocation: a few dense numeric columns plus lineage IDs, identically
+// shaped from query to query and from wave to wave.
 // Routing those buffers through a pool turns that per-query churn into
 // reuse, which matters because at synopsis-served latencies garbage
 // collection is a measurable share of end-to-end query time.
@@ -50,7 +52,8 @@ type SlicePool[T any] struct {
 
 // maxPooledLen is the largest request served from (and returned to) the
 // pool: four default scan partitions' worth of rows, which covers per-span
-// selection and hash scratch and a progressive wave's batch columns.
+// selection and hash scratch, a progressive wave's batch columns and value
+// buffers, and an online accumulator's spans.
 const (
 	maxPooledClass = 14
 	maxPooledLen   = 1 << maxPooledClass

@@ -31,6 +31,10 @@ type WaveExec struct {
 	st    *stages
 	spans []ops.Span // full partitioning of the scan input
 	alias string
+	// last is the batch the previous ExecuteWave returned; the next call
+	// releases it, so each wave's gather draws its columns from the
+	// buffers the wave before it gave back.
+	last *batch.Batch
 }
 
 // PrepareWaves prepares root for wave-by-wave execution, or returns
@@ -100,10 +104,18 @@ func (w *WaveExec) OutSchema() (*relation.Schema, error) {
 // returns their output rows. Waves may be executed in any order and with
 // any boundaries; concatenating results for a partition cover in index
 // order reproduces ExecuteBatch bit for bit.
+//
+// The returned batch is valid until the next ExecuteWave call on the same
+// WaveExec: that call releases it to the batch pools and gathers into the
+// recycled buffers. A caller that keeps rows across waves copies them out
+// first (Accum.Add, ToRows).
 func (w *WaveExec) ExecuteWave(pLo, pHi int) (*batch.Batch, error) {
+	w.last.Release()
+	w.last = nil
 	if pLo < 0 || pHi < pLo || pHi > len(w.spans) {
 		return nil, fmt.Errorf("engine: wave [%d,%d) outside [0,%d)", pLo, pHi, len(w.spans))
 	}
 	out, _, err := w.e.pipeWindow(w.st, w.spans[pLo:pHi], pLo)
+	w.last = out
 	return out, err
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/sampling-algebra/gus/internal/batch"
 	"github.com/sampling-algebra/gus/internal/expr"
 	"github.com/sampling-algebra/gus/internal/ops"
 	"github.com/sampling-algebra/gus/internal/plan"
@@ -82,6 +83,57 @@ func waveRows(t *testing.T, e *Engine, root plan.Node, seed uint64, waveParts in
 		got.Data = append(got.Data, b.ToRows().Data...)
 	}
 	return got
+}
+
+// TestWaveExecsInterleaved: two WaveExecs over the same plan, driven in
+// alternation, each recycle their previous wave's batch through the shared
+// pools. A wave's batch stays valid until the next ExecuteWave on its own
+// WaveExec, so each round holds both execs' batches before converting
+// either; each one's waves concatenate to one ExecuteBatch.
+func TestWaveExecsInterleaved(t *testing.T) {
+	for name, root := range wavePlans(t) {
+		e := New(Config{Workers: 3, PartitionSize: 128, SerialCutoff: 1})
+		want, err := e.ExecuteBatch(root, 5)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var ws [2]*WaveExec
+		var got [2]*ops.Rows
+		for i := range ws {
+			if ws[i], err = e.PrepareWaves(root, 5); err != nil || ws[i] == nil {
+				t.Fatalf("%s: PrepareWaves: %v", name, err)
+			}
+			schema, err := ws[i].OutSchema()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = &ops.Rows{Cols: schema, LSch: ws[i].st.in.LSch}
+		}
+		// Different wave sizes keep the two streams' batches different.
+		step := [2]int{2, 3}
+		lo := [2]int{}
+		for lo[0] < ws[0].Partitions() || lo[1] < ws[1].Partitions() {
+			var bs [2]*batch.Batch
+			for i, w := range ws {
+				if lo[i] >= w.Partitions() {
+					continue
+				}
+				hi := min(lo[i]+step[i], w.Partitions())
+				if bs[i], err = w.ExecuteWave(lo[i], hi); err != nil {
+					t.Fatalf("%s: exec %d wave [%d,%d): %v", name, i, lo[i], hi, err)
+				}
+				lo[i] = hi
+			}
+			for i, b := range bs {
+				if b != nil {
+					got[i].Data = append(got[i].Data, b.ToRows().Data...)
+				}
+			}
+		}
+		for i := range got {
+			sameRows(t, fmt.Sprintf("%s exec %d", name, i), want.ToRows(), got[i])
+		}
+	}
 }
 
 // TestPrepareWavesDeclinesUnsupported: joins and WOR sampling cannot run

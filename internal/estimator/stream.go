@@ -25,11 +25,17 @@
 // mask's order, the mask is rebuilt once in its new mode from the spans the
 // accumulator retains for exactly that purpose, and continues — the floats
 // are those of the hash path throughout.
+//
+// Span storage is drawn from package pools and goes back to them when the
+// accumulator drops it (every mask hashed, Finalize, Release), so a stream
+// reuses the spans of the streams before it instead of allocating and
+// zeroing its sample afresh.
 package estimator
 
 import (
 	"fmt"
 
+	"github.com/sampling-algebra/gus/internal/batch"
 	"github.com/sampling-algebra/gus/internal/core"
 	"github.com/sampling-algebra/gus/internal/hashtab"
 	"github.com/sampling-algebra/gus/internal/lineage"
@@ -52,7 +58,8 @@ type Accum struct {
 	// in as they arrive. The last element is the not-yet-complete tail
 	// span; every one before it is complete and folded into the masks, and
 	// is kept only while some mask is order-aware — the source that mask
-	// is rebuilt from should a later chunk break its order.
+	// is rebuilt from should a later chunk break its order. Span storage
+	// comes from spanF/spanID and returns there once no mask can need it.
 	spans   []chunk
 	ordered int // masks not in hashed mode
 	track   orderTracker
@@ -140,18 +147,50 @@ func (a *Accum) Add(fs, gs []float64, lin [][]lineage.TupleID) error {
 	return nil
 }
 
-// allocSpan gives a fresh span room for partSize rows, so filling it
+// Span storage pools. A default span (ops.DefaultPartitionSize rows) is
+// well inside the pools' largest class; a span past it allocates and is
+// dropped on release.
+var (
+	spanF  batch.SlicePool[float64]
+	spanID batch.SlicePool[lineage.TupleID]
+)
+
+// allocSpan gives an empty span room for partSize rows, so filling it
 // never regrows (regrowing one ever-longer buffer instead was a third of a
-// progressive query's CPU).
+// progressive query's CPU). The buffers come from the span pools; their
+// stale contents are never read, since a span is only appended to.
 func (a *Accum) allocSpan(ch *chunk) {
-	ch.fs = make([]float64, 0, a.partSize)
+	ch.fs = spanF.Get(a.partSize)[:0]
 	if a.bilinear {
-		ch.gs = make([]float64, 0, a.partSize)
+		ch.gs = spanF.Get(a.partSize)[:0]
 	}
 	ch.lin = make([][]lineage.TupleID, a.n)
 	for s := range ch.lin {
-		ch.lin[s] = make([]lineage.TupleID, 0, a.partSize)
+		ch.lin[s] = spanID.Get(a.partSize)[:0]
 	}
+}
+
+// releaseSpans returns the storage of spans to the span pools. No mask
+// keeps a reference into a span — group keys and sums are copied out as
+// spans fold — so the caller only has to stop reading them.
+func releaseSpans(spans []chunk) {
+	for i := range spans {
+		ch := &spans[i]
+		spanF.Put(ch.fs)
+		spanF.Put(ch.gs)
+		for _, l := range ch.lin {
+			spanID.Put(l)
+		}
+		*ch = chunk{}
+	}
+}
+
+// Release returns the accumulator's retained spans to the pools. Call it
+// when a stream stops before Finalize (Finalize releases them itself); the
+// accumulator must not be used afterwards.
+func (a *Accum) Release() {
+	releaseSpans(a.spans)
+	a.spans = nil
 }
 
 // tail is the not-yet-complete span.
@@ -177,6 +216,7 @@ func (a *Accum) remode() {
 	if a.ordered == 0 {
 		// Hashed masks keep their own group keys and never change mode
 		// again: the folded spans have no reader left.
+		releaseSpans(a.spans[:len(a.spans)-1])
 		a.spans = a.spans[len(a.spans)-1:]
 	}
 }
@@ -261,14 +301,16 @@ func (a *Accum) TopDiagnostics() (groups int, sum2, sum4 float64) {
 
 // Finalize folds the remaining tail and returns the exact moments, summed
 // in group order: bit-identical to groupMoments at any Workers over the
-// whole sample. The accumulator is sealed afterwards.
+// whole sample. The accumulator is sealed afterwards, and its spans go back
+// to the pools: no Add can follow, so no mask can need a rebuild.
 func (a *Accum) Finalize() []float64 {
 	if !a.final {
 		if a.tail().len() > 0 {
 			a.foldTail()
 		}
 		a.final = true
-		a.spans = make([]chunk, 1) // no Add can follow, so no mask can need a rebuild
+		releaseSpans(a.spans)
+		a.spans = a.spans[:1]
 	}
 	out := make([]float64, 1<<uint(a.n))
 	if a.bilinear {

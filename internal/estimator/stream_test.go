@@ -121,6 +121,47 @@ func TestAccumFinalizeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestAccumOnReleasedSpans: spans go back to the pools unzeroed when an
+// accumulator is released or finalized, and the next accumulator builds on
+// them. A stream stopped early (Release) over NaN values and a ragged
+// chunking leaves its spans full of poison; an accumulator fed the real
+// sample after it must still finalize to groupMoments' floats exactly, in
+// plain and bilinear mode.
+func TestAccumOnReleasedSpans(t *testing.T) {
+	const n, part = 5000, 512
+	for _, nslots := range []int{1, 2, 3} {
+		_, cols, fs, gs := streamSample(n, nslots, 42)
+		_, poisonCols, _, _ := streamSample(n, nslots, 7)
+		poison := make([]float64, n)
+		for i := range poison {
+			poison[i] = math.NaN()
+		}
+		for _, bilinear := range []bool{false, true} {
+			var g, pg []float64
+			if bilinear {
+				g, pg = gs, poison
+			}
+			want := groupMoments(nslots, cols, fs, g, Options{Workers: 2, PartitionSize: part}, nil)
+			for round := 0; round < 3; round++ {
+				early := NewAccum(nslots, bilinear, part)
+				feed(t, early, poisonCols, poison, pg, 0, 3*part+100)
+				early.Release()
+
+				a := NewAccum(nslots, bilinear, part)
+				for lo := 0; lo < n; lo += 700 {
+					feed(t, a, cols, fs, g, lo, min(lo+700, n))
+				}
+				got := a.Finalize()
+				for m := range want {
+					if math.Float64bits(got[m]) != math.Float64bits(want[m]) {
+						t.Fatalf("slots=%d bilinear=%v round %d: Y[%d] = %v, want %v", nslots, bilinear, round, m, got[m], want[m])
+					}
+				}
+			}
+		}
+	}
+}
+
 func pick(cols [][]lineage.TupleID, lo, hi int) [][]lineage.TupleID {
 	out := make([][]lineage.TupleID, len(cols))
 	for s := range cols {

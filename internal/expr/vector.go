@@ -103,8 +103,10 @@ func (v *Vec) truthyAt(i int) bool {
 }
 
 // FloatAt returns element i as float64 (ints widen); it errors on strings
-// with the same message the scalar Value.AsFloat produces.
-func (v Vec) FloatAt(i int) (float64, error) {
+// with the same message the scalar Value.AsFloat produces. The pointer
+// receiver and the out-of-line message keep it inlinable, so the per-row
+// loops that call it (estimator, online) neither copy the Vec nor call.
+func (v *Vec) FloatAt(i int) (float64, error) {
 	if v.Const {
 		i = 0
 	}
@@ -113,9 +115,15 @@ func (v Vec) FloatAt(i int) (float64, error) {
 		return float64(v.I[i]), nil
 	case relation.KindFloat:
 		return v.F[i], nil
-	default:
-		return 0, fmt.Errorf("relation: cannot read %q as float", v.S[i])
 	}
+	return 0, notFloatError(v.S[i])
+}
+
+// notFloatError is FloatAt's error: the string it could not read.
+type notFloatError string
+
+func (e notFloatError) Error() string {
+	return fmt.Sprintf("relation: cannot read %q as float", string(e))
 }
 
 // Slice returns the dense sub-vector [lo, hi) sharing storage — the

@@ -159,13 +159,36 @@ type Executor struct {
 }
 
 // itemState carries one item's per-stream state: the aggregate kernels,
-// compiled ONCE against the waves' fixed output schema, and the
-// accumulators — a plain Theorem-1 stream, or the numerator/denominator/
-// cross triple behind a delta-method ratio.
+// compiled ONCE against the waves' fixed output schema, the accumulators —
+// a plain Theorem-1 stream, or the numerator/denominator/cross triple
+// behind a delta-method ratio — and the per-row value buffers every wave
+// evaluates into. The accumulators copy the values in, so one pair of
+// buffers serves the whole stream; a wave overwrites them only after every
+// accumulator has read the last one's, and they go back to valuePool only
+// when the stream ends.
 type itemState struct {
 	f, den         *expr.VecCompiled
 	acc            *estimator.Accum // plain; also the numerator for ratios
 	accD, accCross *estimator.Accum // ratio only
+	fs, ds         []float64
+}
+
+// valuePool recycles the per-row value buffers across streams. A default
+// wave's values fit one pooled size class, so a stream draws each buffer
+// once.
+var valuePool batch.SlicePool[float64]
+
+// release returns the stream's value buffers and the accumulators'
+// retained spans to their pools.
+func (st *itemState) release() {
+	valuePool.Put(st.fs)
+	valuePool.Put(st.ds)
+	st.fs, st.ds = nil, nil
+	for _, a := range []*estimator.Accum{st.acc, st.accD, st.accCross} {
+		if a != nil {
+			a.Release()
+		}
+	}
 }
 
 // Run executes waves until a stop condition fires, ctx is canceled, or
@@ -182,6 +205,11 @@ func (x *Executor) Run(ctx context.Context, emit func(Update) bool) error {
 	}
 	n := x.G.N()
 	states := make([]itemState, len(x.Items))
+	defer func() {
+		for i := range states {
+			states[i].release()
+		}
+	}()
 	for i, it := range x.Items {
 		if states[i].f, err = compileF(it.F, outSchema); err != nil {
 			return err
@@ -269,24 +297,23 @@ func (x *Executor) Run(ctx context.Context, emit func(Update) bool) error {
 // by the same vectorized kernels as the one-shot batch estimator, so
 // folding every wave reproduces its floats exactly.
 func feedItem(st *itemState, it Item, b *batch.Batch) error {
-	fs, err := evalF(b, st.f)
-	if err != nil {
+	var err error
+	if st.fs, err = evalF(st.fs, b, st.f); err != nil {
 		return err
 	}
-	if err := st.acc.Add(fs, nil, b.Lin); err != nil {
+	if err := st.acc.Add(st.fs, nil, b.Lin); err != nil {
 		return err
 	}
 	if !it.Ratio {
 		return nil
 	}
-	ds, err := evalF(b, st.den)
-	if err != nil {
+	if st.ds, err = evalF(st.ds, b, st.den); err != nil {
 		return err
 	}
-	if err := st.accD.Add(ds, nil, b.Lin); err != nil {
+	if err := st.accD.Add(st.ds, nil, b.Lin); err != nil {
 		return err
 	}
-	return st.accCross.Add(fs, ds, b.Lin)
+	return st.accCross.Add(st.fs, st.ds, b.Lin)
 }
 
 // compileF compiles an aggregate argument against the stream's wave
@@ -299,18 +326,23 @@ func compileF(f expr.Expr, schema *relation.Schema) (*expr.VecCompiled, error) {
 	return c, nil
 }
 
-// evalF computes the per-row aggregate values over a batch — the same
-// kernel evaluation and float conversions as estimator.EstimateBatch.
-func evalF(b *batch.Batch, c *expr.VecCompiled) ([]float64, error) {
+// evalF computes the per-row aggregate values over a batch into buf's
+// storage — replaced from valuePool when too short — with the same kernel
+// evaluation and float conversions as estimator.EstimateBatch.
+func evalF(buf []float64, b *batch.Batch, c *expr.VecCompiled) ([]float64, error) {
 	v, err := c.EvalAll(b.Cols, b.Len())
 	if err != nil {
-		return nil, fmt.Errorf("online: aggregate: %w", err)
+		return buf, fmt.Errorf("online: aggregate: %w", err)
 	}
-	fs := make([]float64, b.Len())
+	if cap(buf) < b.Len() {
+		valuePool.Put(buf)
+		buf = valuePool.Get(b.Len())
+	}
+	fs := buf[:b.Len()]
 	for k := range fs {
 		fv, err := v.FloatAt(k)
 		if err != nil {
-			return nil, fmt.Errorf("online: aggregate: %w", err)
+			return buf, fmt.Errorf("online: aggregate: %w", err)
 		}
 		fs[k] = fv
 	}

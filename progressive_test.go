@@ -7,7 +7,9 @@ package gus
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -318,5 +320,67 @@ func TestProgressiveStreamDoesNotBlockWriters(t *testing.T) {
 	}
 	if _, err := drain(ch, wait); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProgressiveConcurrentStreamsMatchQuery runs streams on 8 goroutines
+// at once, each with its own seed, SUM, AVG and COUNT items, and a stream
+// stopped early between two complete ones. Waves recycle their batches,
+// the accumulators' spans and the value buffers through shared pools, so
+// a buffer handed to two streams — or read by one item's accumulator
+// after another reused it — would move a bit: every completed stream's
+// final update must equal its one-shot Query exactly.
+func TestProgressiveConcurrentStreamsMatchQuery(t *testing.T) {
+	db := progressiveDB(t, 4000)
+	const sql = `SELECT SUM(l_extendedprice*(1.0-l_discount)) AS rev, AVG(l_discount) AS d, COUNT(*) AS n
+		FROM lineitem TABLESAMPLE (40 PERCENT) WHERE l_quantity < 40.0`
+	const streams, rounds = 8, 2
+	type outcome struct {
+		want *Result
+		last Update
+		err  error
+	}
+	out := make([][rounds]outcome, streams)
+	var wg sync.WaitGroup
+	for g := 0; g < streams; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				o := &out[g][r]
+				opts := []Option{WithSeed(uint64(100 + 10*g + r)), WithWorkers(2), WithWaveRows(1000)}
+				if o.want, o.err = db.Query(sql, opts...); o.err != nil {
+					return
+				}
+				ups, err := drain(db.QueryProgressive(context.Background(), sql, opts...))
+				if err != nil || len(ups) == 0 {
+					o.err = fmt.Errorf("stream: %v (%d updates)", err, len(ups))
+					return
+				}
+				o.last = ups[len(ups)-1]
+				// An early stop between complete streams hands its spans
+				// back through Release rather than Finalize.
+				early := append([]Option{WithMaxFraction(0.3)}, opts...)
+				if _, err := drain(db.QueryProgressive(context.Background(), sql, early...)); err != nil {
+					o.err = fmt.Errorf("early stream: %w", err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range out {
+		for r, o := range out[g] {
+			label := fmt.Sprintf("goroutine %d round %d", g, r)
+			if o.err != nil {
+				t.Fatalf("%s: %v", label, o.err)
+			}
+			if !o.last.Final || len(o.last.Values) != len(o.want.Values) || o.last.SampleRows != o.want.SampleRows {
+				t.Fatalf("%s: final update %+v does not match the one-shot shape", label, o.last)
+			}
+			for i := range o.want.Values {
+				requireSameUpdateValue(t, label, o.last.Values[i], o.want.Values[i])
+			}
+		}
 	}
 }
