@@ -32,8 +32,9 @@ type WaveExec struct {
 	spans []ops.Span // full partitioning of the scan input
 	alias string
 	// last is the batch the previous ExecuteWave returned; the next call
-	// releases it, so each wave's gather draws its columns from the
-	// buffers the wave before it gave back.
+	// (or Release, at the end of a stream) releases it, so each wave's
+	// gather draws its columns from the buffers the wave before it gave
+	// back.
 	last *batch.Batch
 }
 
@@ -100,18 +101,25 @@ func (w *WaveExec) OutSchema() (*relation.Schema, error) {
 	return w.st.proj.schemaFor(1)
 }
 
+// Release returns the batch the last ExecuteWave returned to the batch
+// pools. A stream calls it once it has read its last wave; the WaveExec
+// stays usable.
+func (w *WaveExec) Release() {
+	w.last.Release()
+	w.last = nil
+}
+
 // ExecuteWave runs the fused kernel over input partitions [pLo, pHi) and
 // returns their output rows. Waves may be executed in any order and with
 // any boundaries; concatenating results for a partition cover in index
 // order reproduces ExecuteBatch bit for bit.
 //
-// The returned batch is valid until the next ExecuteWave call on the same
-// WaveExec: that call releases it to the batch pools and gathers into the
-// recycled buffers. A caller that keeps rows across waves copies them out
-// first (Accum.Add, ToRows).
+// The returned batch is valid until the next ExecuteWave or Release call on
+// the same WaveExec: that call releases it to the batch pools, and the next
+// wave gathers into the recycled buffers. A caller that keeps rows across
+// waves copies them out first (Accum.Add, ToRows).
 func (w *WaveExec) ExecuteWave(pLo, pHi int) (*batch.Batch, error) {
-	w.last.Release()
-	w.last = nil
+	w.Release()
 	if pLo < 0 || pHi < pLo || pHi > len(w.spans) {
 		return nil, fmt.Errorf("engine: wave [%d,%d) outside [0,%d)", pLo, pHi, len(w.spans))
 	}

@@ -129,6 +129,9 @@ func TestWaveExecsInterleaved(t *testing.T) {
 					got[i].Data = append(got[i].Data, b.ToRows().Data...)
 				}
 			}
+			// A released WaveExec stays usable: exec 1 hands each batch
+			// back before its next wave, as a stream does at its end.
+			ws[1].Release()
 		}
 		for i := range got {
 			sameRows(t, fmt.Sprintf("%s exec %d", name, i), want.ToRows(), got[i])

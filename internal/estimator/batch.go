@@ -82,16 +82,15 @@ func RatioBatch(g *core.Params, b *batch.Batch, num, den expr.Expr, opts Options
 // sumFBatch evaluates the aggregate argument with vectorized kernels,
 // partition at a time, returning the per-row values (their sums are taken
 // downstream by totalOf, with the same partition structure whatever the
-// worker count). Each span
-// evaluates over zero-copy column slices; no gather, no selection vector.
+// worker count). Each span evaluates over zero-copy column slices; no
+// gather, no selection vector.
 func sumFBatch(b *batch.Batch, f expr.Expr, opts Options) ([]float64, error) {
 	c, err := expr.CompileVec(f, b.Schema)
 	if err != nil {
 		return nil, fmt.Errorf("estimator: aggregate: %w", err)
 	}
-	n := b.Len()
-	fs := make([]float64, n)
-	spans := ops.Partitions(n, opts.partitionSize())
+	fs := make([]float64, b.Len())
+	spans := ops.Partitions(len(fs), opts.partitionSize())
 	//gus:ctx-ok pure CPU shard over a materialized batch, below cancellation granularity
 	err = ops.ForEachPart(opts.Workers, len(spans), func(p int) error {
 		span := spans[p]
@@ -99,16 +98,8 @@ func sumFBatch(b *batch.Batch, f expr.Expr, opts Options) ([]float64, error) {
 		for j, col := range b.Cols {
 			cols[j] = col.Slice(span.Lo, span.Hi)
 		}
-		v, err := c.EvalAll(cols, span.Hi-span.Lo)
-		if err != nil {
+		if err := EvalF(c, cols, fs[span.Lo:span.Hi]); err != nil {
 			return fmt.Errorf("estimator: aggregate: %w", err)
-		}
-		for k := 0; k < span.Hi-span.Lo; k++ {
-			fv, err := v.FloatAt(k)
-			if err != nil {
-				return fmt.Errorf("estimator: aggregate: %w", err)
-			}
-			fs[span.Lo+k] = fv
 		}
 		return nil
 	})
@@ -116,4 +107,22 @@ func sumFBatch(b *batch.Batch, f expr.Expr, opts Options) ([]float64, error) {
 		return nil, err
 	}
 	return fs, nil
+}
+
+// EvalF evaluates a compiled aggregate argument over the first len(fs)
+// rows of cols into the caller's fs: the per-row values every Theorem-1
+// accumulation folds — the one-shot estimator's span by span, the
+// progressive executor's wave by wave — from one kernel evaluation and
+// one float conversion.
+func EvalF(c *expr.VecCompiled, cols []expr.Vec, fs []float64) error {
+	v, err := c.EvalAll(cols, len(fs))
+	if err != nil {
+		return err
+	}
+	for k := range fs {
+		if fs[k], err = v.FloatAt(k); err != nil {
+			return err
+		}
+	}
+	return nil
 }

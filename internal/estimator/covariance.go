@@ -36,20 +36,13 @@ func Covariance(g *core.Params, lins []lineage.Vector, fs, gs []float64) (float6
 	if len(lins) != len(fs) {
 		return 0, fmt.Errorf("estimator: %d lineage vectors for %d aggregate values", len(lins), len(fs))
 	}
-	return covarianceSrc(g, vectorColumns(g.N(), lins), fs, gs, Options{})
-}
-
-// covarianceSrc is Covariance over per-slot lineage columns, with
-// accumulator options (Workers spreads the partition-sharded bilinear
-// moments over goroutines).
-func covarianceSrc(g *core.Params, lin [][]lineage.TupleID, fs, gs []float64, opts Options) (float64, error) {
 	if g.A() == 0 {
 		return 0, fmt.Errorf("estimator: null GUS (a=0) has no covariance")
 	}
 	if len(fs) != len(gs) {
 		return 0, fmt.Errorf("estimator: bilinear moments need equal-length inputs (%d,%d)", len(fs), len(gs))
 	}
-	yhat, err := UnbiasedY(g, groupMoments(g.N(), lin, fs, gs, opts, nil))
+	yhat, err := UnbiasedY(g, groupMoments(g.N(), vectorColumns(g.N(), lins), fs, gs, Options{}, nil))
 	if err != nil {
 		return 0, err
 	}
@@ -66,6 +59,9 @@ type RatioResult struct {
 	Num, Den *Result
 	// Cov is the estimated covariance of the two SUM estimators.
 	Cov float64
+	// Clamped reports whether the delta-method variance was negative
+	// before clamping — what the diagnostics grade.
+	Clamped bool
 	// Diag reports variance-estimate reliability (nil unless
 	// Options.Diagnostics was set): the weaker of the component SUM
 	// diagnostics, always marked Approximate.
@@ -77,13 +73,8 @@ func (r *RatioResult) StdDev() float64 { return math.Sqrt(r.Variance) }
 
 // ratioSrc is the core of RatioBatch: it estimates num/den, where both are
 // SUM aggregates over the same GUS sample given as per-slot lineage columns
-// and per-row values, with the delta-method variance the paper's §9
-// sketches:
-//
-//	Var(N/D) ≈ Var(N)/D² − 2·N·Cov(N,D)/D³ + N²·Var(D)/D⁴
-//
-// AVG(f) is the ratio of f to 1. The result is approximate (first-order
-// Taylor), unlike the exact SUM analysis.
+// and per-row values, with the delta-method variance of ratioOf. AVG(f)
+// is the ratio of f to 1.
 func ratioSrc(g *core.Params, lin [][]lineage.TupleID, nfs, dfs []float64, opts Options) (*RatioResult, error) {
 	nRes, err := fromSource(g, lin, nfs, opts)
 	if err != nil {
@@ -93,25 +84,42 @@ func ratioSrc(g *core.Params, lin [][]lineage.TupleID, nfs, dfs []float64, opts 
 	if err != nil {
 		return nil, err
 	}
+	return ratioOf(g, nRes, dRes, groupMoments(g.N(), lin, nfs, dfs, opts, nil))
+}
+
+// ratioOf is the delta-method tail behind every ratio, one-shot and
+// streamed: from the component SUM results and the bilinear cross moments
+// yND of the full sample it derives Cov(N,D) by Theorem 1 and the
+// first-order variance the paper's §9 sketches:
+//
+//	Var(N/D) ≈ Var(N)/D² − 2·N·Cov(N,D)/D³ + N²·Var(D)/D⁴
+//
+// The result is approximate (first-order Taylor), unlike the exact SUM
+// analysis. Its diagnostics, when the components carry theirs, are graded
+// against this variance's own clamp.
+func ratioOf(g *core.Params, nRes, dRes *Result, yND []float64) (*RatioResult, error) {
 	if dRes.Estimate == 0 {
 		return nil, fmt.Errorf("estimator: ratio with (estimated) zero denominator")
 	}
-	cov, err := covarianceSrc(g, lin, nfs, dfs, opts)
+	yhat, err := UnbiasedY(g, yND)
+	if err != nil {
+		return nil, err
+	}
+	cov, err := g.Variance(yhat)
 	if err != nil {
 		return nil, err
 	}
 	n, d := nRes.Estimate, dRes.Estimate
-	raw := nRes.RawVariance/(d*d) - 2*n*cov/(d*d*d) + n*n*dRes.RawVariance/(d*d*d*d)
-	v := raw
-	if v < 0 {
-		v = 0
-	}
-	return &RatioResult{
+	r := &RatioResult{
 		Estimate: n / d,
-		Variance: v,
+		Variance: nRes.RawVariance/(d*d) - 2*n*cov/(d*d*d) + n*n*dRes.RawVariance/(d*d*d*d),
 		Num:      nRes,
 		Den:      dRes,
 		Cov:      cov,
-		Diag:     mergeRatioDiag(nRes.Diag, dRes.Diag, raw < 0),
-	}, nil
+	}
+	if r.Variance < 0 {
+		r.Variance, r.Clamped = 0, true
+	}
+	r.Diag = mergeRatioDiag(nRes.Diag, dRes.Diag, r.Clamped)
+	return r, nil
 }

@@ -14,10 +14,14 @@
 // plus structural flags (delta-method ratio, §7 sub-sampling, clamped
 // negative variance) fold into a letter grade an operator can read.
 //
-// The group statistics (G, Σt², Σt⁴) come out of the moment kernel's own
-// pass over the full lineage mask (groupMoments, Accum.TopDiagnostics) in
+// The group statistics (G, Σt², Σt⁴) have one definition: the span-wise
+// totals t of the full lineage mask's groups — each its span partials
+// added in span order — that the moment kernel already holds once it has
+// folded the mask (maskAccum.stats), read by the one-shot path
+// (groupMoments) and the stream (Accum.TopDiagnostics) alike. They live in
 // accumulators the estimate never reads: they cannot perturb results by
-// construction, and a bit-identity test enforces it.
+// construction, and a bit-identity test enforces it. Both paths grade a
+// ratio by one rule too (mergeRatioDiag).
 package estimator
 
 import "math"
@@ -111,6 +115,14 @@ var grades = []string{"A", "B", "C", "D"}
 func DiagnoseAccum(a *Accum, approximate, clamped bool) *Diagnostics {
 	g, s2, s4 := a.TopDiagnostics()
 	return newDiagnostics(g, s2, s4, approximate, false, clamped)
+}
+
+// DiagnoseRatio grades a streamed delta-method ratio by the one-shot rule
+// (mergeRatioDiag): the weaker of its numerator's and denominator's
+// accumulator statistics, clamped when the ratio's own variance was
+// (RatioResult.Clamped).
+func DiagnoseRatio(num, den *Accum, clamped bool) *Diagnostics {
+	return mergeRatioDiag(DiagnoseAccum(num, false, false), DiagnoseAccum(den, false, false), clamped)
 }
 
 // mergeRatioDiag folds the component SUM diagnostics of a delta-method

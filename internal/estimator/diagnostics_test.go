@@ -1,11 +1,11 @@
 package estimator
 
 import (
-	"math"
 	"testing"
 
 	"github.com/sampling-algebra/gus/internal/core"
 	"github.com/sampling-algebra/gus/internal/lineage"
+	"github.com/sampling-algebra/gus/internal/ops"
 	"github.com/sampling-algebra/gus/internal/stats"
 )
 
@@ -130,14 +130,11 @@ func TestDiagnosticsBitIdentity(t *testing.T) {
 }
 
 // TestAccumTopDiagnostics: the streaming group statistics must match the
-// one-shot pass exactly on integer-valued samples (order-independent
-// sums), tail included, and must not disturb subsequent Finalize floats.
+// string-map pass over the same spans exactly, on arbitrary floats, tail
+// included, and must not disturb subsequent Finalize floats.
 func TestAccumTopDiagnostics(t *testing.T) {
 	_, cols, fs, _ := streamSample(1100, 2, 5)
-	for i := range fs {
-		fs[i] = math.Trunc(fs[i]) // integer-valued: sums are exact
-	}
-	wantG, wantS2, wantS4 := oracleStats(cols, fs)
+	wantG, wantS2, wantS4 := oracleStats(cols, fs, ops.Partitions(len(fs), 256))
 
 	a := NewAccum(2, false, 256)
 	ref := NewAccum(2, false, 256)

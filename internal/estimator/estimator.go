@@ -10,22 +10,28 @@
 //     from a lineage-hash sub-sample of the sample (§7);
 //  3. the final estimate, variance and confidence intervals (§6.4).
 //
-// # Order-aware lineage grouping
+// # One moment kernel
 //
 // Task 2 is 2ⁿ GROUP BY queries: Y_S groups the sample by the lineage
-// projected onto S and sums the squared group totals. The engine has
-// usually done the grouping already, by the order it emits rows in. One
-// kernel (order.go) exploits that for every entry point — EstimateBatch,
-// RatioBatch, Estimate, FromLineage one-shot; Accum.Add/Moments/
-// Finalize streaming. It makes one pass over each lineage slot's ID
-// column to see whether it is strictly increasing, non-decreasing or
-// neither, then takes each mask S the cheapest way its member slots allow:
+// projected onto S and sums the squared group totals. One kernel computes
+// them for every entry point: maskAccum (stream.go), one mask's group
+// state. The streaming Accum folds each completed span into it as waves
+// arrive; the one-shot groupMoments (parallel.go) — behind EstimateBatch,
+// RatioBatch, Estimate, FromLineage — folds the whole sample into it over
+// zero-copy span views. The engine has usually done the grouping already,
+// by the order it emits rows in, so the kernel makes one pass over each
+// lineage slot's ID column to see whether it is strictly increasing,
+// non-decreasing or neither, then takes each mask S the cheapest way its
+// member slots allow:
 //
 //	(a) singletons — some member slot is strictly increasing, so no two
 //	    rows share a projected key: Y_S = Σ f² in row order. No table.
 //	(b) runs — every member slot is non-decreasing, so the projected key
 //	    is too and each group is a run of adjacent rows.
-//	(c) hashed — otherwise: the open-addressing grouper, as before.
+//	(c) hashed — otherwise: each span is grouped into a shard on an
+//	    open-addressing grouper, and the shards merge in span order into
+//	    the mask's group totals. The one-shot path builds its shards on the
+//	    worker pool; the stream builds each as its span completes.
 //
 // When each triggers: a fused scan → sample → select pipeline emits rows in
 // scan order, so a scanned relation's slot is strictly increasing —
@@ -48,17 +54,17 @@
 // the Accum retains for as long as any mask is order-aware.
 //
 // Why the floats cannot differ: all three ways produce the same groups in
-// the same first-seen order, and the kernel replicates the hash path's
-// accumulation order exactly — a group's partial sum within one
-// PartitionSize span is its values added in row order from zero; its total
-// is its span partials added in span order (so a run that crosses a span
-// boundary associates as mergeHashShards would); the moment adds the
-// squared totals in first-seen order. In case (a) every partial is one
-// value and that whole sequence collapses to acc += f·f per row. The
-// variance diagnostics' (groups, Σt², Σt⁴) are further sums over the same
-// group totals and come out of the same pass. order_test.go holds the
-// three ways, and the string-keyed implementation they replaced, to
-// bit-equality on every shape that selects or switches between them.
+// the same first-seen order with the same accumulation order — a group's
+// partial sum within one PartitionSize span is its values added in row
+// order from zero; its total is its span partials added in span order (so
+// a run that crosses a span boundary associates as a hashed group does);
+// the moment adds the squared totals in first-seen order. In case (a)
+// every partial is one value and that whole sequence collapses to
+// acc += f·f per row. The variance diagnostics' (groups, Σt², Σt⁴) are
+// further sums over the same span-wise group totals, read off the folded
+// full mask (maskAccum.stats) by both paths. order_test.go holds the three
+// ways, and the string-keyed implementation they replaced, to bit-equality
+// on every shape that selects or switches between them.
 package estimator
 
 import (
@@ -284,44 +290,56 @@ func rowColumns(rows *ops.Rows) [][]lineage.TupleID {
 // fromSource is the SBox core behind FromLineage and EstimateBatch, over
 // per-slot lineage columns.
 func fromSource(g *core.Params, lin [][]lineage.TupleID, fs []float64, opts Options) (*Result, error) {
-	if g.A() == 0 {
-		return nil, fmt.Errorf("estimator: null GUS (a=0) cannot be estimated")
-	}
-
-	res := &Result{
-		Estimate:   g.Estimate(totalOf(fs, opts)),
-		SampleRows: len(fs),
-	}
-
 	// §7: optionally estimate the y_S moments from a sub-sample.
 	varG, varLin, varFs, sub, err := maybeSubsample(g, lin, fs, opts)
 	if err != nil {
 		return nil, err
 	}
-	res.Subsampled = sub
-	res.VarianceRows = len(varFs)
-
 	var stats *groupStats
 	if opts.Diagnostics {
 		stats = new(groupStats)
 	}
-	res.Y = groupMoments(varG.Schema().Len(), varLin, varFs, nil, opts, stats)
-	res.YHat, err = UnbiasedY(varG, res.Y)
+	y := groupMoments(varG.Schema().Len(), varLin, varFs, nil, opts, stats)
+	res, err := newResult(g, varG, totalOf(fs, opts), y, len(fs), len(varFs))
 	if err != nil {
 		return nil, err
 	}
-	raw, err := g.Variance(res.YHat)
-	if err != nil {
-		return nil, err
-	}
-	res.RawVariance = raw
-	res.Variance = raw
-	if raw < 0 {
-		res.Variance = 0
-		res.Clamped = true
-	}
+	res.Subsampled = sub
 	if stats != nil {
 		res.Diag = newDiagnostics(stats.groups, stats.sum2, stats.sum4, false, sub, res.Clamped)
+	}
+	return res, nil
+}
+
+// newResult prices Y_S moments by Theorem 1 — the one assembler behind
+// every SUM-like answer, one-shot (fromSource) and streamed
+// (EstimateFromMoments): the estimate of total (Σf over all sampleRows
+// rows) under g, and the variance under g from y, the moments of the
+// varianceRows rows drawn under gVar (g itself unless §7 sub-sampled
+// them).
+func newResult(g, gVar *core.Params, total float64, y []float64, sampleRows, varianceRows int) (*Result, error) {
+	if g.A() == 0 {
+		return nil, fmt.Errorf("estimator: null GUS (a=0) cannot be estimated")
+	}
+	yhat, err := UnbiasedY(gVar, y)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := g.Variance(yhat)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Estimate:     g.Estimate(total),
+		Variance:     raw,
+		RawVariance:  raw,
+		SampleRows:   sampleRows,
+		VarianceRows: varianceRows,
+		Y:            y,
+		YHat:         yhat,
+	}
+	if raw < 0 {
+		res.Variance, res.Clamped = 0, true
 	}
 	return res, nil
 }

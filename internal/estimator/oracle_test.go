@@ -114,22 +114,25 @@ func oracleMoments(n int, lin [][]lineage.TupleID, fs, gs []float64, spans []ops
 	return out
 }
 
-// oracleStats is the historical diagnostics pass: group rows by their full
-// lineage projection through a string map, total f within each group in
-// row order, and sum the squares and fourth powers in first-seen order.
-func oracleStats(lin [][]lineage.TupleID, fs []float64) (groups int, sum2, sum4 float64) {
-	full := lineage.Full(len(lin))
+// oracleStats is the diagnostics pass by string maps: group rows by their
+// full lineage projection, total f within each group as its span partials
+// (row-order sums from zero) added in span order, and sum the squares and
+// fourth powers in first-seen order.
+func oracleStats(lin [][]lineage.TupleID, fs []float64, spans []ops.Span) (groups int, sum2, sum4 float64) {
+	key := func(i int) string { return projectKey(lin, i, lineage.Full(len(lin))) }
 	idx := map[string]int{}
 	var totals []float64
-	for i := range fs {
-		k := projectKey(lin, i, full)
-		j, ok := idx[k]
-		if !ok {
-			j = len(totals)
-			idx[k] = j
-			totals = append(totals, 0)
+	for _, sp := range spans {
+		sh := shardFor(sp, key, fs, nil)
+		for _, k := range sh.keys {
+			j, ok := idx[k]
+			if !ok {
+				j = len(totals)
+				idx[k] = j
+				totals = append(totals, 0)
+			}
+			totals[j] += sh.fsum[k]
 		}
-		totals[j] += fs[i]
 	}
 	for _, t := range totals {
 		t2 := t * t

@@ -1,10 +1,15 @@
-// Order-aware lineage grouping: the kernel behind every Y_S moment, shared
-// by the one-shot accumulators (parallel.go) and the streaming Accum
-// (stream.go). See the package comment for the order property and why the
-// floats match the hash path bit for bit.
+// Order-aware lineage grouping: how the moment kernel (maskAccum, stream.go)
+// groups a mask whose slots the sample keeps in order, for the one-shot
+// groupMoments (parallel.go) and the streaming Accum alike. See the
+// package comment for the order property and why the floats match the
+// hashed mode bit for bit.
 package estimator
 
-import "github.com/sampling-algebra/gus/internal/lineage"
+import (
+	"slices"
+
+	"github.com/sampling-algebra/gus/internal/lineage"
+)
 
 // slotOrder is the order observed so far on one lineage slot's ID column.
 type slotOrder uint8
@@ -113,11 +118,11 @@ func (c *chunk) view(lin [][]lineage.TupleID, fs, gs []float64, lo, hi int) *chu
 
 // ordMask accumulates one mask's group moments over spans folded in sample
 // order while the mask is in singletons or runs mode. Groups then complete
-// in first-seen order, so everything the hash path keeps per group
+// in first-seen order, so everything the hashed mode keeps per group
 // collapses to running sums over the completed ("closed") groups plus the
 // one group the next span may still extend.
 //
-// Float contract, per fold of one span, matching maskAccum/mergeHashShards:
+// Float contract, per fold of one span, matching maskAccum's hashed mode:
 // a group's span partial is the row-order sum of its values from zero; its
 // total is the sum of its span partials in span order; run advances by
 // (newF·newG − oldF·oldG) per touched group in first-seen order; closed,
@@ -129,7 +134,7 @@ type ordMask struct {
 	top      bool // full mask: also keep the diagnostics sums
 
 	groups     int
-	run        float64 // live moment, advanced incrementally like the hash path's
+	run        float64 // live moment, advanced incrementally like the hashed mode's
 	closed     float64 // Σ f·g over closed groups: exact()'s prefix
 	sum2, sum4 float64 // Σ t², Σ t⁴ over closed groups (top only)
 
@@ -157,17 +162,21 @@ func (m *ordMask) paired(ch *chunk) []float64 {
 // fold permanently accumulates one span.
 func (m *ordMask) fold(ch *chunk) {
 	if m.mode == singletons {
+		// Every group closes as it opens: closed and run are one sum, and
+		// a top mask's statistics add each row's value in the same pass.
 		gs := m.paired(ch)
-		run, closed := m.run, m.closed
-		for i, f := range ch.fs {
-			p := f * gs[i]
-			run += p
-			closed += p
-		}
-		m.run, m.closed = run, closed
+		run, sum2, sum4 := m.run, m.sum2, m.sum4
 		if m.top {
-			m.sum2, m.sum4 = addPowers(m.sum2, m.sum4, ch.fs)
+			for i, f := range ch.fs {
+				run += f * gs[i]
+				sum2, sum4 = addPower(sum2, sum4, f)
+			}
+		} else {
+			for i, f := range ch.fs {
+				run += f * gs[i]
+			}
 		}
+		m.run, m.closed, m.sum2, m.sum4 = run, run, sum2, sum4
 		m.groups += ch.len()
 		return
 	}
@@ -247,31 +256,22 @@ func (m *ordMask) close() {
 	}
 }
 
-// live returns the moment including the unfolded tail (nil when empty),
-// without changing state.
-func (m *ordMask) live(tail *chunk) float64 {
-	acc := m.run
-	if tail == nil {
-		return acc
+// withTail is m with the unfolded tail (nil when empty) folded into a copy,
+// m itself unchanged: the live moment and statistics read it, so they add
+// the tail's rows exactly as folding them will.
+func (m *ordMask) withTail(tail *chunk, top bool) ordMask {
+	cp := *m
+	cp.top = top
+	cp.key = slices.Clone(m.key) // fold reuses the key buffer
+	if tail != nil {
+		cp.fold(tail)
 	}
-	if m.mode == singletons {
-		gs := m.paired(tail)
-		for i, f := range tail.fs {
-			acc += f * gs[i]
-		}
-		return acc
-	}
-	for i := 0; i < tail.len(); {
-		j, pf, pg := m.nextRun(tail, i)
-		var oldF, oldG float64
-		if i == 0 && m.extends(tail) {
-			oldF, oldG = m.f, m.g
-		}
-		acc += m.product(oldF+pf, oldG+pg) - m.product(oldF, oldG)
-		i = j
-	}
-	return acc
+	return cp
 }
+
+// live returns the moment including the unfolded tail, without changing
+// state.
+func (m *ordMask) live(tail *chunk) float64 { return m.withTail(tail, false).run }
 
 // exact returns Σ_groups f·g over the folded groups in first-seen order.
 func (m *ordMask) exact() float64 {
@@ -283,31 +283,9 @@ func (m *ordMask) exact() float64 {
 
 // stats returns the full-mask group statistics (group count, Σt², Σt⁴)
 // over the folded groups and the unfolded tail, without changing state:
-// folded groups first (the open one last, extended by the tail's first run
-// when that continues it), then the tail's new groups.
+// the groups in first-seen order, the last (still open) one included.
 func (m *ordMask) stats(tail *chunk) (groups int, sum2, sum4 float64) {
-	groups, sum2, sum4 = m.groups, m.sum2, m.sum4
-	if m.mode == singletons {
-		if tail != nil {
-			sum2, sum4 = addPowers(sum2, sum4, tail.fs)
-			groups += tail.len()
-		}
-		return groups, sum2, sum4
-	}
-	i := 0
-	if m.open {
-		t := m.f
-		if tail != nil && m.extends(tail) {
-			j, pf, _ := m.nextRun(tail, 0)
-			t, i = t+pf, j
-		}
-		sum2, sum4 = addPower(sum2, sum4, t)
-	}
-	for tail != nil && i < tail.len() {
-		j, pf, _ := m.nextRun(tail, i)
-		sum2, sum4 = addPower(sum2, sum4, pf)
-		groups++
-		i = j
-	}
-	return groups, sum2, sum4
+	cp := m.withTail(tail, m.top)
+	cp.close()
+	return cp.groups, cp.sum2, cp.sum4
 }

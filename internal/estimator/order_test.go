@@ -100,19 +100,30 @@ func requireSameVec(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// forcedHashMoments is groupMoments with every mask on the hash fallback.
+// forcedHashMoments is groupMoments with every mask on the hash fallback:
+// the same one-shot kernel — shards built on the worker pool, merged in
+// span order — with the hashed mode forced.
 func forcedHashMoments(n int, lin [][]lineage.TupleID, fs, gs []float64, opts Options) []float64 {
 	out := groupMoments(n, lin, fs, gs, opts, nil) // for Y_∅
-	spans := opts.spans(len(fs))
 	for m := 1; m < len(out); m++ {
-		out[m] = maskMoment(hashed, lineage.Set(m).Members(), spans, lin, fs, gs, opts.Workers, nil)
+		out[m] = forcedHashMask(lineage.Set(m).Members(), lin, fs, gs, opts, false).exact()
 	}
 	return out
 }
 
+// forcedHashMask folds the whole sample into one hashed mask the way
+// groupMoments folds a mask it finds unordered.
+func forcedHashMask(slots []int, lin [][]lineage.TupleID, fs, gs []float64, opts Options, top bool) *maskAccum {
+	views := spanViews(lin, fs, gs, opts.partitionSize())
+	ms := new(maskAccum)
+	ms.reset(hashed, slots, gs != nil, top)
+	ms.foldSpans(views, make([]shard, len(views)), opts.Workers)
+	return ms
+}
+
 // checkOneShot asserts order-aware ≡ forced-hash ≡ oracle on one sample,
 // sharded and serial, plain and bilinear, and the group statistics ≡ the
-// historical string-map pass.
+// string-map pass over the same spans.
 func checkOneShot(t *testing.T, n int, lin [][]lineage.TupleID, fs, gs []float64, partSize int) {
 	t.Helper()
 	for _, bilinear := range []bool{false, true} {
@@ -125,12 +136,12 @@ func checkOneShot(t *testing.T, n int, lin [][]lineage.TupleID, fs, gs []float64
 		requireSameVec(t, fmt.Sprintf("sharded bilinear=%v", bilinear), groupMoments(n, lin, fs, g, sharded, nil), want)
 		requireSameVec(t, fmt.Sprintf("forced-hash bilinear=%v", bilinear), forcedHashMoments(n, lin, fs, g, sharded), want)
 
-		serial := oracleMoments(n, lin, fs, g, Options{}.spans(len(fs)))
+		serial := oracleMoments(n, lin, fs, g, ops.Partitions(len(fs), 0))
 		requireSameVec(t, fmt.Sprintf("serial bilinear=%v", bilinear), groupMoments(n, lin, fs, g, Options{}, nil), serial)
 		requireSameVec(t, fmt.Sprintf("serial forced-hash bilinear=%v", bilinear), forcedHashMoments(n, lin, fs, g, Options{}), serial)
 	}
-	wantG, wantS2, wantS4 := oracleStats(lin, fs)
 	for _, opts := range []Options{{Workers: 2, PartitionSize: partSize}, {}} {
+		wantG, wantS2, wantS4 := oracleStats(lin, fs, ops.Partitions(len(fs), opts.PartitionSize))
 		var st groupStats
 		with := groupMoments(n, lin, fs, nil, opts, &st)
 		if st.groups != wantG || !sameBits(st.sum2, wantS2) || !sameBits(st.sum4, wantS4) {
@@ -139,7 +150,7 @@ func checkOneShot(t *testing.T, n int, lin [][]lineage.TupleID, fs, gs []float64
 		}
 		requireSameVec(t, "moments with stats", with, groupMoments(n, lin, fs, nil, opts, nil))
 		var forced groupStats
-		maskMoment(hashed, lineage.Full(n).Members(), opts.spans(len(fs)), lin, fs, nil, opts.Workers, &forced)
+		forced.groups, forced.sum2, forced.sum4 = forcedHashMask(lineage.Full(n).Members(), lin, fs, nil, opts, true).stats(nil)
 		if forced != st {
 			t.Fatalf("forced-hash stats %+v, order-aware %+v", forced, st)
 		}

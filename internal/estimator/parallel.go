@@ -2,8 +2,11 @@
 // three row-scale passes: evaluating f over the sample (Σf and the
 // per-row values), the Y_S group-by-lineage moments (§6.3), and their
 // bilinear generalization. Each pass here splits the rows into fixed-size
-// partitions (ops.Partitions), accumulates a private shard per partition
-// on the worker pool, and merges shards in partition index order.
+// partitions (ops.Partitions); per-row values and Σf are accumulated one
+// partition per task on the worker pool and combined in partition index
+// order, and each moment mask folds the partitions into the moment
+// kernel (maskAccum) in partition order — a hashed mask building its
+// per-partition shards on the worker pool first.
 //
 // Determinism: partition boundaries and merge order depend only on the
 // data and the partition size — never on the worker count — so every
@@ -13,6 +16,7 @@
 package estimator
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/sampling-algebra/gus/internal/hashtab"
@@ -50,10 +54,6 @@ func totalOf(fs []float64, opts Options) float64 {
 	return t
 }
 
-// spans resolves the accumulator partitions over n rows: fixed-size
-// morsels.
-func (o Options) spans(n int) []ops.Span { return ops.Partitions(n, o.partitionSize()) }
-
 // linMomentSeed decorrelates moment-group hashes from other key domains.
 const linMomentSeed = 0x94d049bb133111eb
 
@@ -78,99 +78,14 @@ func projEqualLin(lin [][]lineage.TupleID, slots []int, i, j int) bool {
 	return true
 }
 
-// grouperPool recycles the open-addressing tables behind shard building,
-// so per-mask, per-partition accumulation reuses buffers.
+// grouperPool recycles the open-addressing tables span shards are built
+// on, so per-mask, per-span grouping reuses buffers.
 var grouperPool = sync.Pool{New: func() any { return &hashtab.Grouper{} }}
-
-// hashShard is one partition's group accumulator for one mask on the
-// fallback path (modeFor: hashed): group representatives (first row of
-// each group, global index) in first-seen order with the group's value
-// sums. Keys are never materialized.
-type hashShard struct {
-	rows   []int32
-	hashes []uint64
-	fsum   []float64
-	gsum   []float64 // nil for plain (f·f) moments
-}
-
-// hashShardFor builds partition span's shard for the mask's slot list.
-func hashShardFor(span ops.Span, lin [][]lineage.TupleID, slots []int, fs, gs []float64) hashShard {
-	g := grouperPool.Get().(*hashtab.Grouper)
-	g.Reset(span.Hi - span.Lo)
-	sh := hashShard{}
-	cand := span.Lo
-	eq := func(id int32) bool { return projEqualLin(lin, slots, cand, int(sh.rows[id])) }
-	for i := span.Lo; i < span.Hi; i++ {
-		cand = i
-		h := projHashLin(lin, slots, i)
-		id, fresh := g.Get(h, eq)
-		if fresh {
-			sh.rows = append(sh.rows, int32(i))
-			sh.hashes = append(sh.hashes, h)
-			sh.fsum = append(sh.fsum, 0)
-			if gs != nil {
-				sh.gsum = append(sh.gsum, 0)
-			}
-		}
-		sh.fsum[id] += fs[i]
-		if gs != nil {
-			sh.gsum[id] += gs[i]
-		}
-	}
-	grouperPool.Put(g)
-	return sh
-}
-
-// mergeHashShards combines per-partition shards in partition order and
-// returns Σ_groups (Σf)(Σg) — with bilinear false, Σ_groups (Σf)². Group
-// totals accumulate and combine in first-seen order.
-func mergeHashShards(shards []hashShard, lin [][]lineage.TupleID, slots []int, bilinear bool) float64 {
-	var total int
-	for _, sh := range shards {
-		total += len(sh.rows)
-	}
-	g := grouperPool.Get().(*hashtab.Grouper)
-	g.Reset(total)
-	reps := make([]int32, 0, total)
-	fTot := make([]float64, 0, total)
-	var gTot []float64
-	if bilinear {
-		gTot = make([]float64, 0, total)
-	}
-	var cand int
-	eq := func(id int32) bool { return projEqualLin(lin, slots, cand, int(reps[id])) }
-	for _, sh := range shards {
-		for k, rep := range sh.rows {
-			cand = int(rep)
-			id, fresh := g.Get(sh.hashes[k], eq)
-			if fresh {
-				reps = append(reps, rep)
-				fTot = append(fTot, 0)
-				if bilinear {
-					gTot = append(gTot, 0)
-				}
-			}
-			fTot[id] += sh.fsum[k]
-			if bilinear {
-				gTot[id] += sh.gsum[k]
-			}
-		}
-	}
-	grouperPool.Put(g)
-	var acc float64
-	for s, f := range fTot {
-		if bilinear {
-			acc += f * gTot[s]
-		} else {
-			acc += f * f
-		}
-	}
-	return acc
-}
 
 // groupStats are the full-mask group statistics behind the variance
 // diagnostics: the group count and Σt², Σt⁴ over the per-group totals t
-// of f, each total summed in row order and the powers in first-seen order.
+// of f — each total its span partials added in span order, the powers in
+// first-seen order (maskAccum.stats).
 type groupStats struct {
 	groups     int
 	sum2, sum4 float64
@@ -178,9 +93,10 @@ type groupStats struct {
 
 // groupMoments computes the §6.3 Y_S moments — with gs non-nil the
 // bilinear cross moments Y_S(f,g) (see BilinearMoments) — one mask at a
-// time through the order-aware kernel (order.go): it observes each lineage
-// slot's order once and lets that pick every mask's mode. With stats
-// non-nil it also fills the full-mask group statistics.
+// time through the kernel the streaming Accum folds with: it observes each
+// lineage slot's order once, lets that pick every mask's mode, and folds
+// the mask over zero-copy span views of the sample. With stats non-nil it
+// also fills the full-mask group statistics.
 func groupMoments(n int, lin [][]lineage.TupleID, fs, gs []float64, opts Options, stats *groupStats) []float64 {
 	out := make([]float64, 1<<uint(n))
 	totF := totalOf(fs, opts)
@@ -189,61 +105,70 @@ func groupMoments(n int, lin [][]lineage.TupleID, fs, gs []float64, opts Options
 	} else {
 		out[0] = totF * totF
 	}
-	spans := opts.spans(len(fs))
 	track := newOrderTracker(n)
 	track.observe(lin)
+	views := spanViews(lin, fs, gs, opts.partitionSize())
+	var shards []shard
+	var ms maskAccum
 	for m := 1; m < len(out); m++ {
 		slots := lineage.Set(m).Members()
-		var top *groupStats
-		if m == len(out)-1 {
-			top = stats
+		top := m == len(out)-1 && stats != nil
+		ms.reset(modeFor(slots, track.order), slots, gs != nil, top)
+		if ms.mode == hashed && shards == nil {
+			shards = make([]shard, len(views))
 		}
-		out[m] = maskMoment(modeFor(slots, track.order), slots, spans, lin, fs, gs, opts.Workers, top)
+		ms.foldSpans(views, shards, opts.Workers)
+		out[m] = ms.exact()
+		if top {
+			stats.groups, stats.sum2, stats.sum4 = ms.stats(nil)
+		}
 	}
 	return out
 }
 
-// maskMoment computes one mask's Σ_groups (Σf)(Σg) in the given mode:
-// summing singletons, folding adjacent runs span by span, or falling back
-// to partition-sharded hash grouping. Every mode the data supports yields
-// the same groups in the same first-seen order with the same span-wise
-// totals, so the floats do not depend on which one ran. stats, when
-// non-nil, receives the mask's group statistics — from the same pass
-// whenever the span-wise group totals are the row-order totals the
-// statistics are defined over.
-func maskMoment(mode maskMode, slots []int, spans []ops.Span, lin [][]lineage.TupleID, fs, gs []float64, workers int, stats *groupStats) float64 {
-	if mode == hashed {
-		shards := make([]hashShard, len(spans))
-		//gus:ctx-ok pure CPU shard over a materialized sample, below cancellation granularity
-		_ = ops.ForEachPart(workers, len(spans), func(p int) error {
-			shards[p] = hashShardFor(spans[p], lin, slots, fs, gs)
-			return nil
-		})
-		if stats != nil {
-			var whole hashShard // one span over every row: row-order totals
-			if len(spans) == 1 {
-				whole = shards[0]
-			} else {
-				whole = hashShardFor(ops.Span{Lo: 0, Hi: len(fs)}, lin, slots, fs, nil)
-			}
-			stats.groups = len(whole.fsum)
-			stats.sum2, stats.sum4 = addPowers(0, 0, whole.fsum)
+// spanViews points one chunk at each size-row span of the sample's
+// columns (the ops.Partitions spans), the views' lineage column headers
+// sharing one allocation.
+func spanViews(lin [][]lineage.TupleID, fs, gs []float64, size int) []chunk {
+	views := make([]chunk, (len(fs)+size-1)/size)
+	cols := make([][]lineage.TupleID, len(views)*len(lin))
+	for p := range views {
+		lo := p * size
+		views[p].lin = cols[p*len(lin) : p*len(lin) : (p+1)*len(lin)]
+		views[p].view(lin, fs, gs, lo, min(lo+size, len(fs)))
+	}
+	return views
+}
+
+// foldSpans folds a whole sample, given as its span views, into a freshly
+// reset mask. An order-aware mask folds the views in order; a hashed one
+// builds every span's shard on the worker pool (into shards, one per
+// view), then merges them in span order into group arrays presized to
+// the shards' group total.
+func (ms *maskAccum) foldSpans(views []chunk, shards []shard, workers int) {
+	if ms.mode != hashed {
+		for p := range views {
+			ms.ordMask.fold(&views[p])
 		}
-		return mergeHashShards(shards, lin, slots, gs != nil)
+		return
 	}
-	var ch chunk
-	om := ordMask{mode: mode, slots: slots, bilinear: gs != nil, top: stats != nil}
-	for _, sp := range spans {
-		om.fold(ch.view(lin, fs, gs, sp.Lo, sp.Hi))
+	slots, bilinear := ms.slots, ms.bilinear
+	//gus:ctx-ok pure CPU shard over a materialized sample, below cancellation granularity
+	_ = ops.ForEachPart(workers, len(views), func(p int) error {
+		shards[p].build(&views[p], slots, bilinear)
+		return nil
+	})
+	groups := 0
+	for p := range shards {
+		groups += len(shards[p].rows)
 	}
-	if stats != nil {
-		st := &om
-		if mode == runs && len(spans) > 1 {
-			// A run crossing a span boundary is totalled span-wise above.
-			st = &ordMask{mode: runs, slots: slots, top: true}
-			st.fold(ch.view(lin, fs, nil, 0, len(fs)))
-		}
-		stats.groups, stats.sum2, stats.sum4 = st.stats(nil)
+	ms.g.Reset(groups)
+	ms.keyIDs = slices.Grow(ms.keyIDs, groups*len(ms.slots))
+	ms.fTot = slices.Grow(ms.fTot, groups)
+	if ms.bilinear {
+		ms.gTot = slices.Grow(ms.gTot, groups)
 	}
-	return om.exact()
+	for p := range views {
+		ms.merge(&shards[p], &views[p])
+	}
 }

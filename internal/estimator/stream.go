@@ -1,30 +1,30 @@
 // Incremental Theorem-1 accumulation for online aggregation. An Accum
 // folds ordered sample chunks — one per partition wave — into persistent
-// moment state: per-mask group totals whose first-seen order and span-wise
-// accumulation order replicate the partition-sharded batch path
-// (parallel.go) float for float. Two read modes:
+// moment state: one maskAccum per lineage mask, the kernel the one-shot
+// groupMoments (parallel.go) folds with too, fed the same PartitionSize
+// spans. Two read modes:
 //
 //   - Moments() — a live snapshot including the not-yet-complete tail
 //     span, with the Σ_groups(Σf)² sums maintained INCREMENTALLY (each
 //     fold adjusts a running sum by the changed groups only), so a wave
 //     costs O(Δ + groups touched), not O(rows so far);
 //   - Finalize() — folds the tail and returns every moment summed in group
-//     order, exactly the order mergeHashShards uses, so an Accum fed the
-//     full sample in any chunking yields BIT-IDENTICAL moments (and hence
-//     estimate and variance) to one-shot Estimate/EstimateBatch with the
-//     same partition size.
+//     order, as groupMoments does, so an Accum fed the full sample in any
+//     chunking yields BIT-IDENTICAL moments (and hence estimate and
+//     variance) to one-shot Estimate/EstimateBatch with the same partition
+//     size. TopDiagnostics reads the same group statistics the one-shot
+//     diagnostics do.
 //
 // The incremental running sums trade last-bit float agreement for O(Δ)
 // updates — fine for intermediate confidence intervals, which is why
 // Finalize does not trust them.
 //
-// Each mask groups through the order-aware kernel (order.go): while the
-// rows added so far keep a mask's groups singletons or adjacent runs it
-// holds a handful of running sums and no table; the lineage order is
-// observed on every Add and only ever degrades. When a chunk breaks a
-// mask's order, the mask is rebuilt once in its new mode from the spans the
-// accumulator retains for exactly that purpose, and continues — the floats
-// are those of the hash path throughout.
+// While the rows added so far keep a mask's groups singletons or adjacent
+// runs it holds a handful of running sums and no table; the lineage order
+// is observed on every Add and only ever degrades. When a chunk breaks a
+// mask's order, the mask is rebuilt once in its new mode from the spans
+// the accumulator retains for exactly that purpose, and continues — the
+// floats are those of the hashed mode throughout.
 //
 // Span storage is drawn from package pools and goes back to them when the
 // accumulator drops it (every mask hashed, Finalize, Release), so a stream
@@ -224,18 +224,8 @@ func (a *Accum) remode() {
 // foldTail permanently folds the tail as one span and starts the next.
 func (a *Accum) foldTail() {
 	ch := a.tail()
-	var sf float64
-	for _, v := range ch.fs {
-		sf += v
-	}
-	a.totF += sf
-	if a.bilinear {
-		var sg float64
-		for _, v := range ch.gs {
-			sg += v
-		}
-		a.totG += sg
-	}
+	a.totF += tailSum(ch.fs)
+	a.totG += tailSum(ch.gs)
 	for m := 1; m < len(a.masks); m++ {
 		a.masks[m].fold(ch)
 	}
@@ -324,15 +314,16 @@ func (a *Accum) Finalize() []float64 {
 	return out
 }
 
-// maskAccum is one mask's persistent group state. In singletons and runs
-// mode that is the embedded ordMask's running sums. In hashed mode it is
-// an open-addressing grouper over projected-lineage hashes (full ID
-// compare on collisions — never a materialized key string), the group key
-// material in a flat slot-ordered ID array, the persistent group totals,
-// and the running Σ_groups (Σf)(Σg) adjusted group-by-group on each fold.
-// Span-local shard scratch is owned by the accumulator and REUSED across
-// folds, so a wave costs O(Δ + groups touched) with no per-wave table
-// allocation.
+// maskAccum is one mask's persistent group state — the moment kernel
+// both the one-shot groupMoments and the streaming Accum fold with. In
+// singletons and runs mode that is the embedded ordMask's running sums. In
+// hashed mode it is an open-addressing grouper over projected-lineage
+// hashes (full ID compare on collisions — never a materialized key
+// string), the group key material in a flat slot-ordered ID array, the
+// persistent group totals, and the running Σ_groups (Σf)(Σg) adjusted
+// group-by-group on each merge. The span-local shard scratch is REUSED
+// across folds, so a wave costs O(Δ + groups touched) with no per-wave
+// table allocation.
 type maskAccum struct {
 	ordMask
 
@@ -341,23 +332,24 @@ type maskAccum struct {
 	fTot   []float64
 	gTot   []float64
 
-	// Span-local shard, rebuilt in place per fold/live.
-	shardG    hashtab.Grouper
-	shardRows []int32
-	shardHash []uint64
-	shardF    []float64
-	shardGv   []float64
-	// delta[s] is the tail's contribution to group s during stats; all
-	// zero between calls.
-	delta []float64
+	sh      shard     // span-local scratch, rebuilt in place per fold/live/stats
+	scratch []float64 // stats' group totals with the tail's added
 }
 
-// reset empties the mask for (re)accumulation in the given mode.
+// reset empties the mask for (re)accumulation in the given mode, keeping
+// its buffers.
 func (ms *maskAccum) reset(mode maskMode, slots []int, bilinear, top bool) {
-	*ms = maskAccum{ordMask: ordMask{mode: mode, slots: slots, bilinear: bilinear, top: top}}
+	*ms = maskAccum{
+		ordMask: ordMask{mode: mode, slots: slots, bilinear: bilinear, top: top, key: ms.key[:0]},
+		g:       ms.g,
+		keyIDs:  ms.keyIDs[:0],
+		fTot:    ms.fTot[:0],
+		gTot:    ms.gTot[:0],
+		sh:      ms.sh,
+		scratch: ms.scratch,
+	}
 	if mode == hashed {
 		ms.g.Reset(0)
-		ms.shardG.Reset(0)
 	}
 }
 
@@ -373,37 +365,41 @@ func (ms *maskAccum) keyEqualRow(id int32, lin [][]lineage.TupleID, i int) bool 
 	return true
 }
 
-// buildShard groups ch's rows span-locally into the reused shard scratch,
-// returning the group count — the same groups, first-seen order and value
-// sums as hashShardFor, without its allocations.
-func (ms *maskAccum) buildShard(ch *chunk) int {
-	ms.shardG.Reset(ch.len())
-	ms.shardRows = ms.shardRows[:0]
-	ms.shardHash = ms.shardHash[:0]
-	ms.shardF = ms.shardF[:0]
-	ms.shardGv = ms.shardGv[:0]
+// shard is one span's groups for one hashed mask: each group's
+// representative (its first span-local row), hash and value sums, in
+// first-seen order. Keys are never materialized.
+type shard struct {
+	rows []int32
+	hash []uint64
+	f, g []float64 // g only for bilinear moments
+}
+
+// build groups ch's rows span-locally, reusing sh's storage: a group's
+// sums are its values added in row order from zero.
+func (sh *shard) build(ch *chunk, slots []int, bilinear bool) {
+	gr := grouperPool.Get().(*hashtab.Grouper)
+	gr.Reset(ch.len())
+	sh.rows, sh.hash, sh.f, sh.g = sh.rows[:0], sh.hash[:0], sh.f[:0], sh.g[:0]
 	cand := 0
-	eq := func(id int32) bool {
-		return projEqualLin(ch.lin, ms.slots, cand, int(ms.shardRows[id]))
-	}
+	eq := func(id int32) bool { return projEqualLin(ch.lin, slots, cand, int(sh.rows[id])) }
 	for i := 0; i < ch.len(); i++ {
 		cand = i
-		h := projHashLin(ch.lin, ms.slots, i)
-		id, fresh := ms.shardG.Get(h, eq)
+		h := projHashLin(ch.lin, slots, i)
+		id, fresh := gr.Get(h, eq)
 		if fresh {
-			ms.shardRows = append(ms.shardRows, int32(i))
-			ms.shardHash = append(ms.shardHash, h)
-			ms.shardF = append(ms.shardF, 0)
-			if ms.bilinear {
-				ms.shardGv = append(ms.shardGv, 0)
+			sh.rows = append(sh.rows, int32(i))
+			sh.hash = append(sh.hash, h)
+			sh.f = append(sh.f, 0)
+			if bilinear {
+				sh.g = append(sh.g, 0)
 			}
 		}
-		ms.shardF[id] += ch.fs[i]
-		if ms.bilinear {
-			ms.shardGv[id] += ch.gs[i]
+		sh.f[id] += ch.fs[i]
+		if bilinear {
+			sh.g[id] += ch.gs[i]
 		}
 	}
-	return len(ms.shardRows)
+	grouperPool.Put(gr)
 }
 
 func (ms *maskAccum) fold(ch *chunk) {
@@ -411,12 +407,19 @@ func (ms *maskAccum) fold(ch *chunk) {
 		ms.ordMask.fold(ch)
 		return
 	}
-	ng := ms.buildShard(ch)
+	ms.sh.build(ch, ms.slots, ms.bilinear)
+	ms.merge(&ms.sh, ch)
+}
+
+// merge adds span ch's shard into the group totals, in the shard's
+// first-seen order: a group's total is its span partials added in span
+// order.
+func (ms *maskAccum) merge(sh *shard, ch *chunk) {
 	rep := 0
 	eq := func(id int32) bool { return ms.keyEqualRow(id, ch.lin, rep) }
-	for j := 0; j < ng; j++ {
-		rep = int(ms.shardRows[j])
-		s, fresh := ms.g.Get(ms.shardHash[j], eq)
+	for j, r := range sh.rows {
+		rep = int(r)
+		s, fresh := ms.g.Get(sh.hash[j], eq)
 		if fresh {
 			for _, sl := range ms.slots {
 				ms.keyIDs = append(ms.keyIDs, ch.lin[sl][rep])
@@ -427,17 +430,24 @@ func (ms *maskAccum) fold(ch *chunk) {
 			}
 		}
 		oldF := ms.fTot[s]
-		newF := oldF + ms.shardF[j]
+		newF := oldF + sh.f[j]
 		ms.fTot[s] = newF
 		if ms.bilinear {
 			oldG := ms.gTot[s]
-			newG := oldG + ms.shardGv[j]
+			newG := oldG + sh.g[j]
 			ms.gTot[s] = newG
 			ms.run += newF*newG - oldF*oldG
 		} else {
 			ms.run += newF*newF - oldF*oldF
 		}
 	}
+}
+
+// find looks the tail's shard group j up among the folded groups (-1 when
+// new).
+func (ms *maskAccum) find(ch *chunk, j int) int32 {
+	rep := int(ms.sh.rows[j])
+	return ms.g.Find(ms.sh.hash[j], func(id int32) bool { return ms.keyEqualRow(id, ch.lin, rep) })
 }
 
 // live returns the moment including the (unfolded) tail chunk, without
@@ -450,21 +460,18 @@ func (ms *maskAccum) live(ch *chunk) float64 {
 	if ch == nil {
 		return acc
 	}
-	ng := ms.buildShard(ch)
-	rep := 0
-	eq := func(id int32) bool { return ms.keyEqualRow(id, ch.lin, rep) }
-	for j := 0; j < ng; j++ {
-		rep = int(ms.shardRows[j])
+	ms.sh.build(ch, ms.slots, ms.bilinear)
+	for j := range ms.sh.rows {
 		var oldF, oldG float64
-		if s := ms.g.Find(ms.shardHash[j], eq); s >= 0 {
+		if s := ms.find(ch, j); s >= 0 {
 			oldF = ms.fTot[s]
 			if ms.bilinear {
 				oldG = ms.gTot[s]
 			}
 		}
-		newF := oldF + ms.shardF[j]
+		newF := oldF + ms.sh.f[j]
 		if ms.bilinear {
-			newG := oldG + ms.shardGv[j]
+			newG := oldG + ms.sh.g[j]
 			acc += newF*newG - oldF*oldG
 		} else {
 			acc += newF*newF - oldF*oldF
@@ -474,7 +481,7 @@ func (ms *maskAccum) live(ch *chunk) float64 {
 }
 
 // exact recomputes the moment from the group totals in slot (first-seen)
-// order — the exact float sequence of mergeHashShards' final loop.
+// order.
 func (ms *maskAccum) exact() float64 {
 	if ms.mode != hashed {
 		return ms.ordMask.exact()
@@ -490,40 +497,28 @@ func (ms *maskAccum) exact() float64 {
 	return acc
 }
 
-// stats is ordMask.stats for any mode. A hashed mask has to walk every
-// group — the tail may add to any of them — in first-seen order, then the
-// tail's new groups.
+// stats is ordMask.stats for any mode. A hashed mask walks its group
+// totals in first-seen order — the tail added to the groups it extends —
+// then the tail's new groups.
 func (ms *maskAccum) stats(ch *chunk) (groups int, sum2, sum4 float64) {
 	if ms.mode != hashed {
 		return ms.ordMask.stats(ch)
 	}
-	for len(ms.delta) < len(ms.fTot) {
-		ms.delta = append(ms.delta, 0)
-	}
-	var touched []int32
-	var fresh []float64
+	tot := ms.fTot
 	if ch != nil {
-		ng := ms.buildShard(ch)
-		rep := 0
-		eq := func(id int32) bool { return ms.keyEqualRow(id, ch.lin, rep) }
-		for j := 0; j < ng; j++ {
-			rep = int(ms.shardRows[j])
-			if s := ms.g.Find(ms.shardHash[j], eq); s >= 0 {
-				ms.delta[s] += ms.shardF[j]
-				touched = append(touched, s)
+		tot = append(ms.scratch[:0], ms.fTot...)
+		ms.sh.build(ch, ms.slots, ms.bilinear)
+		for j, f := range ms.sh.f {
+			if s := ms.find(ch, j); s >= 0 {
+				tot[s] += f
 			} else {
-				fresh = append(fresh, ms.shardF[j])
+				tot = append(tot, f)
 			}
 		}
+		ms.scratch = tot
 	}
-	for s, f := range ms.fTot {
-		sum2, sum4 = addPower(sum2, sum4, f+ms.delta[s])
-	}
-	for _, s := range touched {
-		ms.delta[s] = 0
-	}
-	sum2, sum4 = addPowers(sum2, sum4, fresh)
-	return len(ms.fTot) + len(fresh), sum2, sum4
+	sum2, sum4 = addPowers(0, 0, tot)
+	return len(tot), sum2, sum4
 }
 
 // EstimateFromMoments assembles a Result from an accumulator snapshot
@@ -531,40 +526,17 @@ func (ms *maskAccum) stats(ch *chunk) (groups int, sum2, sum4 float64) {
 // from the (live or finalized) Y_S moments. With g the query's top GUS,
 // total = Accum.Total() and y = Accum.Finalize() over the full sample,
 // the Result is bit-identical to Estimate/EstimateBatch without §7
-// sub-sampling; with prefix-adjusted parameters and live snapshots it
-// prices a partially scanned sample.
+// sub-sampling — both go through newResult; with prefix-adjusted
+// parameters and live snapshots it prices a partially scanned sample.
 func EstimateFromMoments(g *core.Params, total float64, y []float64, sampleRows int) (*Result, error) {
-	if g.A() == 0 {
-		return nil, fmt.Errorf("estimator: null GUS (a=0) cannot be estimated")
-	}
-	res := &Result{
-		Estimate:     g.Estimate(total),
-		SampleRows:   sampleRows,
-		VarianceRows: sampleRows,
-		Y:            y,
-	}
-	yhat, err := UnbiasedY(g, y)
-	if err != nil {
-		return nil, err
-	}
-	res.YHat = yhat
-	raw, err := g.Variance(yhat)
-	if err != nil {
-		return nil, err
-	}
-	res.RawVariance = raw
-	res.Variance = raw
-	if raw < 0 {
-		res.Variance = 0
-		res.Clamped = true
-	}
-	return res, nil
+	return newResult(g, g, total, y, sampleRows, sampleRows)
 }
 
 // RatioFromMoments assembles a delta-method RatioResult from accumulator
 // snapshots of the numerator (totN, yNN), denominator (totD, yDD) and
 // their bilinear cross moments (yND) — the streaming counterpart of
-// Ratio/RatioBatch, bit-identical to them at Finalize.
+// Ratio/RatioBatch, sharing their delta-method tail (ratioOf), so it is
+// bit-identical to them at Finalize.
 func RatioFromMoments(g *core.Params, totN, totD float64, yNN, yDD, yND []float64, sampleRows int) (*RatioResult, error) {
 	nRes, err := EstimateFromMoments(g, totN, yNN, sampleRows)
 	if err != nil {
@@ -574,27 +546,5 @@ func RatioFromMoments(g *core.Params, totN, totD float64, yNN, yDD, yND []float6
 	if err != nil {
 		return nil, err
 	}
-	if dRes.Estimate == 0 {
-		return nil, fmt.Errorf("estimator: ratio with (estimated) zero denominator")
-	}
-	yhat, err := UnbiasedY(g, yND)
-	if err != nil {
-		return nil, err
-	}
-	cov, err := g.Variance(yhat)
-	if err != nil {
-		return nil, err
-	}
-	n, d := nRes.Estimate, dRes.Estimate
-	v := nRes.RawVariance/(d*d) - 2*n*cov/(d*d*d) + n*n*dRes.RawVariance/(d*d*d*d)
-	if v < 0 {
-		v = 0
-	}
-	return &RatioResult{
-		Estimate: n / d,
-		Variance: v,
-		Num:      nRes,
-		Den:      dRes,
-		Cov:      cov,
-	}, nil
+	return ratioOf(g, nRes, dRes, yND)
 }

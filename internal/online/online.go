@@ -15,7 +15,9 @@
 // so Theorem 1 prices every intermediate answer with a sound variance
 // under that assumption. At q = 1 the prefix model drops away entirely
 // and the final Update is BIT-IDENTICAL to the one-shot query: same
-// estimate, same variance, same interval.
+// estimate, same variance, same interval, and the same Reliability grade
+// and VarianceRSE a traced one-shot query reports (both grade from the
+// same span-wise group statistics by the same rules).
 //
 // Early stopping: Config carries a target relative CI half-width, a
 // deadline and a maximum scan fraction; the wave loop stops at whichever
@@ -206,6 +208,7 @@ func (x *Executor) Run(ctx context.Context, emit func(Update) bool) error {
 	n := x.G.N()
 	states := make([]itemState, len(x.Items))
 	defer func() {
+		x.Waves.Release()
 		for i := range states {
 			states[i].release()
 		}
@@ -327,24 +330,16 @@ func compileF(f expr.Expr, schema *relation.Schema) (*expr.VecCompiled, error) {
 }
 
 // evalF computes the per-row aggregate values over a batch into buf's
-// storage — replaced from valuePool when too short — with the same kernel
-// evaluation and float conversions as estimator.EstimateBatch.
+// storage — replaced from valuePool when too short — through
+// estimator.EvalF, the evaluation the one-shot estimator runs.
 func evalF(buf []float64, b *batch.Batch, c *expr.VecCompiled) ([]float64, error) {
-	v, err := c.EvalAll(b.Cols, b.Len())
-	if err != nil {
-		return buf, fmt.Errorf("online: aggregate: %w", err)
-	}
 	if cap(buf) < b.Len() {
 		valuePool.Put(buf)
 		buf = valuePool.Get(b.Len())
 	}
 	fs := buf[:b.Len()]
-	for k := range fs {
-		fv, err := v.FloatAt(k)
-		if err != nil {
-			return buf, fmt.Errorf("online: aggregate: %w", err)
-		}
-		fs[k] = fv
+	if err := estimator.EvalF(c, b.Cols, fs); err != nil {
+		return buf, fmt.Errorf("online: aggregate: %w", err)
 	}
 	return fs, nil
 }
@@ -378,7 +373,10 @@ func (x *Executor) snapshot(states []itemState, wave int, frac float64, scanned 
 
 func (x *Executor) itemUpdate(st *itemState, it Item, gw *core.Params, final bool) (ValueUpdate, error) {
 	var est, sd float64
-	clamped := false
+	var d *estimator.Diagnostics
+	// Grades come from the accumulators' full-mask group statistics — a
+	// read-only snapshot, so the estimate floats are untouched — through
+	// the rules the one-shot query grades by.
 	if it.Ratio {
 		totN, totD := st.acc.Total(), st.accD.Total()
 		var yNN, yDD, yND []float64
@@ -397,7 +395,7 @@ func (x *Executor) itemUpdate(st *itemState, it Item, gw *core.Params, final boo
 			return ValueUpdate{}, err
 		}
 		est, sd = rr.Estimate, rr.StdDev()
-		clamped = rr.Num.Clamped || rr.Den.Clamped
+		d = estimator.DiagnoseRatio(st.acc, st.accD, rr.Clamped)
 	} else {
 		var y []float64
 		if final {
@@ -410,14 +408,10 @@ func (x *Executor) itemUpdate(st *itemState, it Item, gw *core.Params, final boo
 			return ValueUpdate{}, err
 		}
 		est, sd = res.Estimate, res.StdDev()
-		clamped = res.Clamped
+		d = estimator.DiagnoseAccum(st.acc, false, res.Clamped)
 	}
 	vu := Price(it, est, sd, x.Cfg.level(), x.Cfg.Method)
-	// Grade this wave's CI from the accumulator's full-mask group stats —
-	// a read-only snapshot, so the estimate floats above are untouched.
-	if d := estimator.DiagnoseAccum(st.acc, it.Ratio, clamped); d != nil {
-		vu.Reliability, vu.VarianceRSE = d.Grade, d.VarianceRSE
-	}
+	vu.Reliability, vu.VarianceRSE = d.Grade, d.VarianceRSE
 	return vu, nil
 }
 

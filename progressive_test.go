@@ -384,3 +384,52 @@ func TestProgressiveConcurrentStreamsMatchQuery(t *testing.T) {
 		}
 	}
 }
+
+// TestProgressiveFinalGradeMatchesQuery: a completed stream grades its
+// interval exactly as traced Query does. The full-mask group statistics
+// behind VarianceRSE come from one definition, span-wise group totals, so
+// a SYSTEM block straddling a partition boundary totals the same on both
+// paths; and AVG is graded through the same ratio rule on both, over its
+// numerator and denominator statistics with the ratio's own clamp
+// (AVG of a constant has a near-zero, often negative, raw variance).
+func TestProgressiveFinalGradeMatchesQuery(t *testing.T) {
+	db := progressiveDB(t, 4000)
+	cases := []struct {
+		name, sql string
+		opts      []Option
+	}{
+		{"sum-bernoulli", `SELECT SUM(l_extendedprice) FROM lineitem TABLESAMPLE (25 PERCENT)`, nil},
+		{"avg-bernoulli", `SELECT AVG(l_extendedprice) FROM lineitem TABLESAMPLE (25 PERCENT)`, nil},
+		{"sum-system", `SELECT SUM(l_extendedprice) FROM lineitem TABLESAMPLE SYSTEM (50)`, []Option{WithSystemBlockSize(300)}},
+		{"avg-system", `SELECT AVG(l_extendedprice) FROM lineitem TABLESAMPLE SYSTEM (50)`, []Option{WithSystemBlockSize(300)}},
+		{"avg-constant", `SELECT AVG(0.1) FROM lineitem TABLESAMPLE (25 PERCENT)`, nil},
+	}
+	for _, c := range cases {
+		for seed := uint64(1); seed <= 30; seed++ {
+			label := fmt.Sprintf("%s seed %d", c.name, seed)
+			opts := append([]Option{WithSeed(seed), WithWaveRows(1000)}, c.opts...)
+			want, err := db.Query(c.sql, append([]Option{WithTrace(&Trace{})}, opts...)...)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			ups, err := drain(db.QueryProgressive(context.Background(), c.sql, opts...))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			last := ups[len(ups)-1]
+			if !last.Final || len(last.Values) != 1 || len(want.Values) != 1 {
+				t.Fatalf("%s: final update %+v, one-shot %d values", label, last, len(want.Values))
+			}
+			u, v := last.Values[0], want.Values[0]
+			if math.Float64bits(u.Estimate) != math.Float64bits(v.Estimate) || math.Float64bits(u.StdErr) != math.Float64bits(v.StdErr) {
+				t.Fatalf("%s: estimate/stderr %.17g/%.17g vs one-shot %.17g/%.17g", label, u.Estimate, u.StdErr, v.Estimate, v.StdErr)
+			}
+			if v.Reliability == "" {
+				t.Fatalf("%s: traced Query reported no grade", label)
+			}
+			if u.Reliability != v.Reliability || math.Float64bits(u.VarianceRSE) != math.Float64bits(v.VarianceRSE) {
+				t.Fatalf("%s: grade %s rse(V) %.17g vs one-shot %s %.17g", label, u.Reliability, u.VarianceRSE, v.Reliability, v.VarianceRSE)
+			}
+		}
+	}
+}
