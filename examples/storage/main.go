@@ -87,8 +87,8 @@ func main() {
 	n, _ := db2.TableLen("lineitem")
 	fmt.Printf("\nATTACH SEGMENT: lineitem with %d rows\n", n)
 
-	// 5. Appends land in a resident tail; the mapped file is never
-	// modified in place. Re-Save to persist the merged table.
+	// 5. Appends copy the mapped columns to the heap once and never
+	// modify the file. Re-Save to persist the grown table.
 	li, err := db.Table("lineitem")
 	if err != nil {
 		log.Fatal(err)

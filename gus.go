@@ -198,7 +198,7 @@ func (t *Table) Insert(values ...any) error {
 	if err := t.rel.Append(tup); err != nil {
 		return err
 	}
-	return t.db.maintainSynopses(t.rel)
+	return t.db.maintainSynopses(t.rel, tup)
 }
 
 // InsertWithID appends one row with an explicit lineage ID — e.g. the
@@ -215,7 +215,7 @@ func (t *Table) InsertWithID(id uint64, values ...any) error {
 	if err := t.rel.AppendWithID(lineage.TupleID(id), tup); err != nil {
 		return err
 	}
-	return t.db.maintainSynopses(t.rel)
+	return t.db.maintainSynopses(t.rel, tup)
 }
 
 func toTuple(schema *relation.Schema, values []any) (relation.Tuple, error) {
@@ -330,8 +330,8 @@ func (db *DB) TableNames() []string {
 // Table returns the write handle for a registered table — how rows are
 // appended to tables that were not CreateTable'd in this process (loaded
 // from CSV, generated, or attached from a segment). Segment-backed tables
-// accept appends too: new rows go to a resident tail and merge with the
-// mapped base image under snapshot isolation (the file is not modified).
+// accept appends too, under snapshot isolation: the first copies the
+// mapped columns to the heap, and the file is not modified.
 func (db *DB) Table(name string) (*Table, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

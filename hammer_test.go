@@ -2,33 +2,39 @@ package gus
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // TestInsertWhileQueryHammer drives the two mutation paths the engine
-// maintains incrementally — synopsis append-maintenance and the
-// segment-backed table's in-memory tail — from writer goroutines while
-// reader goroutines run sampled queries (some served from the synopsis),
-// exact scans, and catalog listings. The race detector is the main
-// assertion; the bounds checks catch torn reads that happen to be
-// race-free (e.g. a count outside [base, final]).
+// maintains incrementally — synopsis append-maintenance and in-place typed
+// appends to a segment-backed table, whose first append copies the mapped
+// columns to the heap — from writer goroutines while reader goroutines run
+// sampled queries (some served from the synopsis), exact scans, GROUP BYs
+// over a string column whose inserts add dictionary entries, and catalog
+// listings. The race detector is the main assertion; the bounds checks
+// catch torn reads that happen to be race-free (e.g. a count outside
+// [base, final]).
 func TestInsertWhileQueryHammer(t *testing.T) {
 	const (
 		base      = 2048
 		writers   = 4
 		perWriter = 150
 		readers   = 4
+		baseTags  = 4
+		newTags   = 5
+		allTags   = baseTags + writers*newTags
 	)
 	// Seed a resident DB, persist it, and reopen segment-backed so every
-	// hammered insert exercises the segment tail-append path.
+	// hammered insert appends to a table that started mapped.
 	src := Open()
-	stb, err := src.CreateTable("ev", Column{Name: "k", Type: Int}, Column{Name: "v", Type: Float})
+	stb, err := src.CreateTable("ev", Column{Name: "k", Type: Int}, Column{Name: "v", Type: Float}, Column{Name: "tag", Type: String})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < base; i++ {
-		if err := stb.Insert(i, float64(i%97)+0.5); err != nil {
+		if err := stb.Insert(i, float64(i%97)+0.5, fmt.Sprintf("s%d", i%baseTags)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +64,8 @@ func TestInsertWhileQueryHammer(t *testing.T) {
 		go func(w int) {
 			defer wwg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := tb.Insert(base+w*perWriter+i, float64(i%31)+0.25); err != nil {
+				// Each writer adds newTags strings the dictionary has not seen.
+				if err := tb.Insert(base+w*perWriter+i, float64(i%31)+0.25, fmt.Sprintf("w%d-%d", w, i%newTags)); err != nil {
 					errc <- fmt.Errorf("writer %d insert %d: %w", w, i, err)
 					return
 				}
@@ -77,7 +84,7 @@ func TestInsertWhileQueryHammer(t *testing.T) {
 					return
 				default:
 				}
-				switch iter % 3 {
+				switch iter % 4 {
 				case 0:
 					// A coordinated REPEATABLE shape the synopsis can serve.
 					res, err := db.Query(`SELECT SUM(v) FROM ev TABLESAMPLE BERNOULLI(10) REPEATABLE(7)`, WithSeed(uint64(r+1)))
@@ -97,6 +104,16 @@ func TestInsertWhileQueryHammer(t *testing.T) {
 					}
 					if n := res.Values[0].Value; n < base || n > total {
 						errc <- fmt.Errorf("reader %d: count %v outside [%d, %d]", r, n, base, total)
+						return
+					}
+				case 2:
+					res, err := db.Exact(`SELECT COUNT(*) AS n FROM ev GROUP BY tag`)
+					if err != nil {
+						errc <- fmt.Errorf("reader %d exact group by: %w", r, err)
+						return
+					}
+					if err := checkTagGroups(res, baseTags, allTags, base, total); err != nil {
+						errc <- fmt.Errorf("reader %d: %w", r, err)
 						return
 					}
 				default:
@@ -138,6 +155,9 @@ func TestInsertWhileQueryHammer(t *testing.T) {
 	}
 	if n := res.Values[0].Value; n != total {
 		t.Fatalf("final count %v, want %d", n, total)
+	}
+	if err := tagGroupsAfter(db, allTags, total); err != nil {
+		t.Fatal(err)
 	}
 	var maintained SynopsisInfo
 	for _, sy := range db.Synopses() {
@@ -181,4 +201,36 @@ func TestInsertWhileQueryHammer(t *testing.T) {
 	if n := res2.Values[0].Value; n != total {
 		t.Fatalf("reopened count %v, want %d", n, total)
 	}
+	if err := tagGroupsAfter(db2, allTags, total); err != nil {
+		t.Fatalf("reopened: %v", err)
+	}
+}
+
+// checkTagGroups checks an exact COUNT(*) GROUP BY tag: between minGroups
+// and maxGroups groups, each a seeded or a written tag, whose counts sum to
+// a row count in [minRows, maxRows].
+func checkTagGroups(res *Result, minGroups, maxGroups, minRows, maxRows int) error {
+	if g := len(res.Groups); g < minGroups || g > maxGroups {
+		return fmt.Errorf("%d tag groups outside [%d, %d]", g, minGroups, maxGroups)
+	}
+	var n float64
+	for _, g := range res.Groups {
+		if !strings.HasPrefix(g.Key, "s") && !strings.HasPrefix(g.Key, "w") {
+			return fmt.Errorf("unknown tag group %q", g.Key)
+		}
+		n += g.Values[0].Value
+	}
+	if n < float64(minRows) || n > float64(maxRows) {
+		return fmt.Errorf("tag groups hold %v rows, outside [%d, %d]", n, minRows, maxRows)
+	}
+	return nil
+}
+
+// tagGroupsAfter checks the quiesced table has every tag and every row.
+func tagGroupsAfter(db *DB, tags, rows int) error {
+	res, err := db.Exact(`SELECT COUNT(*) AS n FROM ev GROUP BY tag`)
+	if err != nil {
+		return err
+	}
+	return checkTagGroups(res, tags, tags, rows, rows)
 }

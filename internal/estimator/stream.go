@@ -89,7 +89,8 @@ func NewAccum(n int, bilinear bool, partitionSize int) *Accum {
 	}
 	for m := 1; m < len(a.masks); m++ {
 		a.masks[m] = &maskAccum{}
-		a.masks[m].reset(singletons, lineage.Set(m).Members(), bilinear, m == len(a.masks)-1)
+		// Ratios are graded from their numerator and denominator (DiagnoseRatio).
+		a.masks[m].reset(singletons, lineage.Set(m).Members(), bilinear, m == len(a.masks)-1 && !bilinear)
 	}
 	a.ordered = len(a.masks) - 1
 	return a
@@ -285,6 +286,7 @@ func (a *Accum) Moments() []float64 {
 // order. Persistent group state is untouched, so calling it never changes
 // subsequent Moments/Finalize floats. While the full mask is order-aware
 // this costs O(tail) — the sums over completed groups are kept running.
+// A bilinear accumulator keeps no such sums; nothing grades from it.
 func (a *Accum) TopDiagnostics() (groups int, sum2, sum4 float64) {
 	return a.masks[len(a.masks)-1].stats(a.tailChunk())
 }
@@ -499,7 +501,7 @@ func (ms *maskAccum) exact() float64 {
 
 // stats is ordMask.stats for any mode. A hashed mask walks its group
 // totals in first-seen order — the tail added to the groups it extends —
-// then the tail's new groups.
+// then the tail's new groups. Only a top mask sums the powers.
 func (ms *maskAccum) stats(ch *chunk) (groups int, sum2, sum4 float64) {
 	if ms.mode != hashed {
 		return ms.ordMask.stats(ch)
@@ -517,7 +519,9 @@ func (ms *maskAccum) stats(ch *chunk) (groups int, sum2, sum4 float64) {
 		}
 		ms.scratch = tot
 	}
-	sum2, sum4 = addPowers(0, 0, tot)
+	if ms.top {
+		sum2, sum4 = addPowers(0, 0, tot)
+	}
 	return len(tot), sum2, sum4
 }
 

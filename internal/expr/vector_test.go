@@ -63,7 +63,12 @@ func vecFixture(t testing.TB, rows int) (*relation.Schema, []relation.Tuple, []V
 		cols[0].I[r], cols[1].I[r], cols[2].F[r], cols[3].F[r], cols[4].S[r] = a, b, x, y, s
 		cols[5].I[r], cols[6].F[r], cols[7].S[r] = i, f, d
 	}
-	cols[7].Codes, cols[7].Dict = relation.EncodeDict(cols[7].S)
+	dr := relation.MustNew("d", relation.MustSchema(relation.Column{Name: "d", Kind: relation.KindString}))
+	for _, s := range cols[7].S {
+		dr.MustAppend(relation.String_(s))
+	}
+	d := dr.Snapshot().Cols[0]
+	cols[7].Codes, cols[7].Dict = d.Codes, d.Dict
 	return schema, tuples, cols
 }
 

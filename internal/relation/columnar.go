@@ -8,10 +8,10 @@ import (
 // one of Ints, Floats or Strs is non-nil, selected by Kind. Flat arrays are
 // what the vectorized execution engine consumes — no per-value boxing.
 //
-// String columns additionally carry a dictionary encoding built once per
-// snapshot: Codes[i] indexes Dict.Strs, and Dict.Hashes holds each distinct
-// value's canonical join-key hash — so keyed operators hash and compare
-// string rows without touching the string bytes.
+// String columns additionally carry a dictionary encoding, built as rows
+// are appended: Codes[i] indexes Dict.Strs, and Dict.Hashes holds each
+// distinct value's canonical join-key hash — so keyed operators hash and
+// compare string rows without touching the string bytes.
 type ColumnSlice struct {
 	Kind   Kind
 	Ints   []int64
@@ -29,96 +29,51 @@ type Snapshot struct {
 	IDs  []lineage.TupleID
 	Rows int
 	// Zones is the per-partition zone map (min/max/null-count per column
-	// at DefaultZoneRows granularity), built once with the snapshot or
-	// loaded from a segment footer. The engine uses it to skip partitions
-	// a predicate provably rejects; nil disables skipping.
+	// at DefaultZoneRows granularity), sealed partition by partition as
+	// rows are appended or loaded from a segment footer. The engine uses
+	// it to skip partitions a predicate provably rejects; nil disables
+	// skipping.
 	Zones *Zones
 }
 
-// Snapshot returns the relation's columnar image, building and caching it
-// on first use. The cache is invalidated by appends; concurrent readers may
-// each build a snapshot, in which case either (identical) result is kept.
-// Callers must hold whatever lock serializes reads against writes (the DB's
-// RWMutex in the public API).
+// Snapshot returns the relation's columnar image: views of its first Len()
+// rows, clamped to that length and capacity so appends never write into
+// memory a reader holds, with their own dictionary headers and a zone map
+// of the sealed zones plus the partial tail partition's. The view is
+// cached until the next append; concurrent readers may each build one, in
+// which case either (identical) result is kept. Callers must hold whatever
+// lock serializes reads against writes (the DB's RWMutex in the public
+// API).
 func (r *Relation) Snapshot() *Snapshot {
 	if s := r.snap.Load(); s != nil {
 		return s
 	}
-	s := r.buildSnapshot()
+	n := len(r.ids)
+	s := &Snapshot{Cols: make([]ColumnSlice, len(r.cols)), IDs: r.ids[:n:n], Rows: n}
+	for j, c := range r.cols {
+		s.Cols[j] = c.view(n)
+	}
+	z := r.zones
+	z.Z = append(make([]Zone, 0, (n+z.ZoneRows-1)/z.ZoneRows*z.NCols), z.Z...)
+	z.extend(s.Cols, n)
+	s.Zones = &z
 	r.snap.Store(s)
 	return s
 }
 
-func (r *Relation) buildSnapshot() *Snapshot {
-	if r.base != nil && len(r.rows) == 0 {
-		return r.base
+// view returns c's first n rows with every slice clamped to n, and a
+// string column's dictionary under a header of its own, clamped too.
+func (c ColumnSlice) view(n int) ColumnSlice {
+	v := ColumnSlice{Kind: c.Kind}
+	switch c.Kind {
+	case KindInt:
+		v.Ints = c.Ints[:n:n]
+	case KindFloat:
+		v.Floats = c.Floats[:n:n]
+	default:
+		k := len(c.Dict.Strs)
+		v.Strs, v.Codes = c.Strs[:n:n], c.Codes[:n:n]
+		v.Dict = &StrDict{Strs: c.Dict.Strs[:k:k], Hashes: c.Dict.Hashes[:k:k]}
 	}
-	nb := r.baseRows()
-	n := nb + len(r.rows)
-	s := &Snapshot{Cols: make([]ColumnSlice, r.schema.Len()), Rows: n}
-	for j := range s.Cols {
-		kind := r.schema.Col(j).Kind
-		s.Cols[j].Kind = kind
-		switch kind {
-		case KindInt:
-			col := make([]int64, n)
-			if nb > 0 {
-				copy(col, r.base.Cols[j].Ints)
-			}
-			for i, row := range r.rows {
-				col[nb+i] = row[j].i
-			}
-			s.Cols[j].Ints = col
-		case KindFloat:
-			col := make([]float64, n)
-			if nb > 0 {
-				copy(col, r.base.Cols[j].Floats)
-			}
-			for i, row := range r.rows {
-				col[nb+i] = row[j].f
-			}
-			s.Cols[j].Floats = col
-		default:
-			col := make([]string, n)
-			if nb > 0 {
-				copy(col, r.base.Cols[j].Strs)
-			}
-			for i, row := range r.rows {
-				col[nb+i] = row[j].s
-			}
-			s.Cols[j].Strs = col
-			s.Cols[j].Codes, s.Cols[j].Dict = encodeDict(col)
-		}
-	}
-	ids := make([]lineage.TupleID, n)
-	if nb > 0 {
-		copy(ids, r.base.IDs)
-	}
-	copy(ids[nb:], r.ids)
-	s.IDs = ids
-	s.Zones = BuildZones(s.Cols, n, DefaultZoneRows)
-	return s
-}
-
-// EncodeDict dictionary-encodes a string column: codes in row order, the
-// dictionary in first-appearance order, one StringHash per distinct value.
-// Snapshots call it internally; the segment writer uses it to encode
-// columns that arrive without a dictionary.
-func EncodeDict(col []string) ([]int32, *StrDict) { return encodeDict(col) }
-
-func encodeDict(col []string) ([]int32, *StrDict) {
-	codes := make([]int32, len(col))
-	d := &StrDict{}
-	idx := make(map[string]int32, 64)
-	for i, s := range col {
-		c, ok := idx[s]
-		if !ok {
-			c = int32(len(d.Strs))
-			idx[s] = c
-			d.Strs = append(d.Strs, s)
-			d.Hashes = append(d.Hashes, StringHash(s))
-		}
-		codes[i] = c
-	}
-	return codes, d
+	return v
 }

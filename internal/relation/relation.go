@@ -94,20 +94,22 @@ const (
 // row IDs if the engine has them, otherwise an injective encoding of the
 // primary key.
 //
-// Storage is an optional immutable columnar base image (a sealed segment,
-// typically mmap-backed) plus an append-only resident tail; pure-resident
-// relations simply have no base. Reads go through the merged Snapshot;
-// appends land in the tail and invalidate the cached merge, so in-flight
-// readers keep the snapshot they started with (snapshot isolation).
+// Storage is one set of typed, growable columns in the Snapshot layout
+// plus the lineage-ID column. Appends write each value into its column in
+// place; a Snapshot is a view of the first Rows rows whose slices cannot
+// grow into the relation's memory, so in-flight readers keep the snapshot
+// they started with (snapshot isolation). A segment-backed relation starts
+// from the mapped columns; its first append copies them to the heap.
 type Relation struct {
-	name   string
-	schema *Schema
-	base   *Snapshot // immutable columnar base (nil for pure-resident)
-	mode   string    // StorageResident or StorageSegment
-	ids    []lineage.TupleID
-	rows   []Tuple
-	nextID lineage.TupleID
-	snap   atomic.Pointer[Snapshot] // lazy columnar image; nil after writes
+	name    string
+	schema  *Schema
+	mode    string // StorageResident or StorageSegment
+	cols    []ColumnSlice
+	ids     []lineage.TupleID
+	dictIdx []map[string]int32 // per string column: value → dictionary code, built on first append
+	zones   Zones              // sealed zones of the complete partitions
+	nextID  lineage.TupleID
+	snap    atomic.Pointer[Snapshot] // cached view; nil after appends
 }
 
 // New creates an empty relation with the given name and column schema.
@@ -115,14 +117,30 @@ func New(name string, schema *Schema) (*Relation, error) {
 	if name == "" {
 		return nil, fmt.Errorf("relation: empty relation name")
 	}
-	return &Relation{name: name, schema: schema, mode: StorageResident, nextID: 1}, nil
+	r := &Relation{name: name, schema: schema, mode: StorageResident, nextID: 1,
+		cols: make([]ColumnSlice, schema.Len()), ids: []lineage.TupleID{},
+		dictIdx: make([]map[string]int32, schema.Len()),
+		zones:   Zones{ZoneRows: DefaultZoneRows, NCols: schema.Len()}}
+	for j := range r.cols {
+		c := &r.cols[j]
+		switch c.Kind = schema.Col(j).Kind; c.Kind {
+		case KindInt:
+			c.Ints = []int64{}
+		case KindFloat:
+			c.Floats = []float64{}
+		default:
+			c.Strs, c.Codes, c.Dict = []string{}, []int32{}, &StrDict{}
+		}
+	}
+	return r, nil
 }
 
-// FromSnapshot creates a relation whose storage starts from an immutable
-// columnar base image — how segment-backed tables come to life. snap's
-// column count and kinds must match schema; its slices are aliased, never
-// copied (they may point into mapped memory). Appends still work: they go
-// to the resident tail, and the next Snapshot() merges base and tail.
+// FromSnapshot creates a relation whose columns start as an immutable
+// columnar image — how segment-backed tables come to life. snap's column
+// count and kinds must match schema; its slices are aliased, never copied
+// (they may point into mapped memory), and clamped to snap.Rows so that
+// the first append copies them to the heap instead of writing into them.
+// Snapshot returns snap itself until that append.
 func FromSnapshot(name string, schema *Schema, snap *Snapshot, mode string) (*Relation, error) {
 	r, err := New(name, schema)
 	if err != nil {
@@ -136,6 +154,7 @@ func FromSnapshot(name string, schema *Schema, snap *Snapshot, mode string) (*Re
 			return nil, fmt.Errorf("relation %s: column %s is %s in snapshot, %s in schema",
 				name, schema.Col(j).Name, c.Kind, schema.Col(j).Kind)
 		}
+		r.cols[j] = c.view(snap.Rows)
 	}
 	if len(snap.IDs) != snap.Rows {
 		return nil, fmt.Errorf("relation %s: snapshot has %d lineage IDs for %d rows", name, len(snap.IDs), snap.Rows)
@@ -143,10 +162,16 @@ func FromSnapshot(name string, schema *Schema, snap *Snapshot, mode string) (*Re
 	if mode != "" {
 		r.mode = mode
 	}
-	r.base = snap
-	for _, id := range snap.IDs {
+	r.ids = snap.IDs[:snap.Rows:snap.Rows]
+	for _, id := range r.ids {
 		if id >= r.nextID {
 			r.nextID = id + 1
+		}
+	}
+	if z := snap.Zones; z != nil && z.ZoneRows == DefaultZoneRows && z.NCols == schema.Len() {
+		// Reuse the complete partitions' zones; the writer seals the rest.
+		if sealed := snap.Rows / DefaultZoneRows * z.NCols; sealed <= len(z.Z) {
+			r.zones.Z = z.Z[:sealed:sealed]
 		}
 	}
 	r.snap.Store(snap)
@@ -173,32 +198,13 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int {
-	n := len(r.rows)
-	if r.base != nil {
-		n += r.base.Rows
-	}
-	return n
-}
+func (r *Relation) Len() int { return len(r.ids) }
 
-// baseRows returns the number of tuples stored in the columnar base.
-func (r *Relation) baseRows() int {
-	if r.base == nil {
-		return 0
-	}
-	return r.base.Rows
-}
-
-// Row returns tuple i (shared storage; treat as read-only). Rows living
-// in a columnar base are boxed on access — the serial reference executor
-// reads rows; the engine reads the flat arrays.
+// Row returns tuple i, boxed on access: the serial reference executor
+// reads rows; the engine reads the typed columns.
 func (r *Relation) Row(i int) Tuple {
-	nb := r.baseRows()
-	if i >= nb {
-		return r.rows[i-nb]
-	}
-	t := make(Tuple, len(r.base.Cols))
-	for j, c := range r.base.Cols {
+	t := make(Tuple, len(r.cols))
+	for j, c := range r.cols {
 		switch c.Kind {
 		case KindInt:
 			t[j] = Int(c.Ints[i])
@@ -212,12 +218,7 @@ func (r *Relation) Row(i int) Tuple {
 }
 
 // ID returns the lineage ID of tuple i.
-func (r *Relation) ID(i int) lineage.TupleID {
-	if nb := r.baseRows(); i < nb {
-		return r.base.IDs[i]
-	}
-	return r.ids[i-r.baseRows()]
-}
+func (r *Relation) ID(i int) lineage.TupleID { return r.ids[i] }
 
 // Append adds a tuple with an automatically assigned sequential ID.
 func (r *Relation) Append(t Tuple) error {
@@ -229,7 +230,9 @@ func (r *Relation) Append(t Tuple) error {
 // AppendWithID adds a tuple with a caller-chosen lineage ID (e.g. a
 // primary-key encoding like l_orderkey*10+l_linenumber from §6.2).
 // IDs must be unique; uniqueness is the caller's contract and is verified
-// lazily by Validate.
+// lazily by Validate. Each value is written into its typed column, and a
+// partition the row completes has its zones sealed here, so Snapshot
+// computes only the partial tail partition's.
 func (r *Relation) AppendWithID(id lineage.TupleID, t Tuple) error {
 	if len(t) != r.schema.Len() {
 		return fmt.Errorf("relation %s: tuple has %d values, schema has %d columns", r.name, len(t), r.schema.Len())
@@ -240,13 +243,50 @@ func (r *Relation) AppendWithID(id lineage.TupleID, t Tuple) error {
 				r.name, r.schema.Col(i).Name, r.schema.Col(i).Kind, v.Kind())
 		}
 	}
+	for j, v := range t {
+		c := &r.cols[j]
+		switch c.Kind {
+		case KindInt:
+			c.Ints = append(c.Ints, v.i)
+		case KindFloat:
+			c.Floats = append(c.Floats, v.f)
+		default:
+			code := r.code(j, v.s)
+			c.Codes = append(c.Codes, code)
+			c.Strs = append(c.Strs, c.Dict.Strs[code])
+		}
+	}
 	if id >= r.nextID {
 		r.nextID = id + 1
 	}
 	r.ids = append(r.ids, id)
-	r.rows = append(r.rows, t)
+	if n := len(r.ids); n%DefaultZoneRows == 0 {
+		r.zones.extend(r.cols, n)
+	}
 	r.snap.Store(nil)
 	return nil
+}
+
+// code returns s's code in string column j's append-only dictionary,
+// adding s if it is new.
+func (r *Relation) code(j int, s string) int32 {
+	d := r.cols[j].Dict
+	idx := r.dictIdx[j]
+	if idx == nil {
+		idx = make(map[string]int32, len(d.Strs)+64)
+		for c, v := range d.Strs {
+			idx[v] = int32(c)
+		}
+		r.dictIdx[j] = idx
+	}
+	c, ok := idx[s]
+	if !ok {
+		c = int32(len(d.Strs))
+		idx[s] = c
+		d.Strs = append(d.Strs, s)
+		d.Hashes = append(d.Hashes, StringHash(s))
+	}
+	return c
 }
 
 // MustAppend is Append that panics on error; for tests and generators.
@@ -259,10 +299,8 @@ func (r *Relation) MustAppend(vals ...Value) {
 // Validate checks the invariants that the estimator relies on, most
 // importantly that lineage IDs are unique within the relation.
 func (r *Relation) Validate() error {
-	n := r.Len()
-	seen := make(map[lineage.TupleID]struct{}, n)
-	for i := 0; i < n; i++ {
-		id := r.ID(i)
+	seen := make(map[lineage.TupleID]struct{}, len(r.ids))
+	for i, id := range r.ids {
 		if _, dup := seen[id]; dup {
 			return fmt.Errorf("relation %s: duplicate lineage ID %d at row %d", r.name, id, i)
 		}

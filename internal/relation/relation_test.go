@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -277,4 +278,132 @@ func TestTupleClone(t *testing.T) {
 func TestLineageIDType(t *testing.T) {
 	// Compile-time contract: relation IDs are lineage.TupleIDs.
 	var _ lineage.TupleID = testRelation(t).ID(0)
+}
+
+// TestSnapshotSurvivesAppends pins snapshot isolation for in-place typed
+// appends: a snapshot taken before appends that cross zone boundaries and
+// add new dictionary strings keeps its rows, IDs, values, codes,
+// dictionary and zones; the new snapshot extends it, and its zones are
+// BuildZones over its columns.
+func TestSnapshotSurvivesAppends(t *testing.T) {
+	r := MustNew("t", MustSchema(Column{"k", KindInt}, Column{"v", KindFloat}, Column{"s", KindString}))
+	add := func(lo, hi int, tag string) {
+		for i := lo; i < hi; i++ {
+			v := float64(i) * 0.5
+			if i%101 == 7 {
+				v = math.NaN()
+			}
+			r.MustAppend(Int(int64(i%777)), Float(v), String_(fmt.Sprintf("%s%d", tag, i%5)))
+		}
+	}
+	// Three sealed partitions leave the writer's zone slice spare capacity.
+	const before, after = 3*DefaultZoneRows + 10, 5*DefaultZoneRows + 50
+	add(0, before, "a")
+	old := r.Snapshot()
+	want := cloneSnapshot(old)
+	// A reader's append must not reach the writer's memory either.
+	for _, c := range old.Cols {
+		if cap(c.Ints) != len(c.Ints) || cap(c.Floats) != len(c.Floats) || cap(c.Strs) != len(c.Strs) ||
+			cap(c.Codes) != len(c.Codes) || c.Dict != nil && cap(c.Dict.Strs) != len(c.Dict.Strs) || cap(old.IDs) != old.Rows {
+			t.Fatal("snapshot slice has spare capacity into the relation's columns")
+		}
+	}
+	add(before, after, "b")
+	requireSameSnapshot(t, "old snapshot after appends", old, want)
+
+	now := r.Snapshot()
+	if now.Rows != after || r.Len() != after {
+		t.Fatalf("new snapshot has %d rows (Len %d), want %d", now.Rows, r.Len(), after)
+	}
+	prefix := cloneSnapshot(now)
+	prefix.Rows, prefix.IDs = before, prefix.IDs[:before]
+	for j := range prefix.Cols {
+		c := &prefix.Cols[j]
+		switch c.Kind {
+		case KindInt:
+			c.Ints = c.Ints[:before]
+		case KindFloat:
+			c.Floats = c.Floats[:before]
+		default:
+			c.Strs, c.Codes = c.Strs[:before], c.Codes[:before]
+			c.Dict.Strs, c.Dict.Hashes = c.Dict.Strs[:5], c.Dict.Hashes[:5]
+		}
+	}
+	prefix.Zones = BuildZones(prefix.Cols, before, DefaultZoneRows)
+	requireSameSnapshot(t, "new snapshot's prefix", prefix, want)
+	s := now.Cols[2]
+	wantDict := []string{"a0", "a1", "a2", "a3", "a4"}
+	for i := before; i < before+5; i++ {
+		wantDict = append(wantDict, fmt.Sprintf("b%d", i%5))
+	}
+	if !slicesEqual(s.Dict.Strs, wantDict) {
+		t.Fatalf("dictionary %v, want %v (first-appearance order)", s.Dict.Strs, wantDict)
+	}
+	for i, code := range s.Codes {
+		if s.Strs[i] != s.Dict.Strs[code] || r.Row(i)[2].AsString() != s.Strs[i] {
+			t.Fatalf("row %d: code %d, string %q, boxed %q", i, code, s.Strs[i], r.Row(i)[2].AsString())
+		}
+	}
+	for c, v := range s.Dict.Strs {
+		if s.Dict.Hashes[c] != StringHash(v) {
+			t.Fatalf("dictionary entry %d (%q): hash %x, want %x", c, v, s.Dict.Hashes[c], StringHash(v))
+		}
+	}
+	rebuilt := BuildZones(now.Cols, now.Rows, DefaultZoneRows)
+	if now.Zones.ZoneRows != rebuilt.ZoneRows || now.Zones.NCols != rebuilt.NCols || !slicesEqual(now.Zones.Z, rebuilt.Z) {
+		t.Fatalf("new snapshot's zones differ from BuildZones over its columns")
+	}
+}
+
+func slicesEqual[T comparable](a, b []T) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// cloneSnapshot deep-copies everything a snapshot exposes.
+func cloneSnapshot(s *Snapshot) *Snapshot {
+	c := &Snapshot{Rows: s.Rows, IDs: append([]lineage.TupleID(nil), s.IDs...), Cols: make([]ColumnSlice, len(s.Cols))}
+	for j, col := range s.Cols {
+		c.Cols[j] = ColumnSlice{Kind: col.Kind, Ints: append([]int64(nil), col.Ints...),
+			Floats: append([]float64(nil), col.Floats...), Strs: append([]string(nil), col.Strs...),
+			Codes: append([]int32(nil), col.Codes...)}
+		if col.Dict != nil {
+			c.Cols[j].Dict = &StrDict{Strs: append([]string(nil), col.Dict.Strs...), Hashes: append([]uint64(nil), col.Dict.Hashes...)}
+		}
+	}
+	z := *s.Zones
+	z.Z = append([]Zone(nil), z.Z...)
+	c.Zones = &z
+	return c
+}
+
+// requireSameSnapshot compares two snapshots field by field, floats by bits.
+func requireSameSnapshot(t *testing.T, what string, got, want *Snapshot) {
+	t.Helper()
+	if got.Rows != want.Rows || !slicesEqual(got.IDs, want.IDs) || len(got.Cols) != len(want.Cols) {
+		t.Fatalf("%s: rows %d, %d IDs, %d columns; want %d, %d, %d", what, got.Rows, len(got.IDs), len(got.Cols), want.Rows, len(want.IDs), len(want.Cols))
+	}
+	for j, g := range got.Cols {
+		w := want.Cols[j]
+		same := g.Kind == w.Kind && slicesEqual(g.Ints, w.Ints) && slicesEqual(g.Strs, w.Strs) && slicesEqual(g.Codes, w.Codes) && len(g.Floats) == len(w.Floats)
+		for i := range g.Floats {
+			same = same && math.Float64bits(g.Floats[i]) == math.Float64bits(w.Floats[i])
+		}
+		if g.Dict != nil || w.Dict != nil {
+			same = same && g.Dict != nil && w.Dict != nil && slicesEqual(g.Dict.Strs, w.Dict.Strs) && slicesEqual(g.Dict.Hashes, w.Dict.Hashes)
+		}
+		if !same {
+			t.Fatalf("%s: column %d differs", what, j)
+		}
+	}
+	if got.Zones.ZoneRows != want.Zones.ZoneRows || got.Zones.NCols != want.Zones.NCols || !slicesEqual(got.Zones.Z, want.Zones.Z) {
+		t.Fatalf("%s: zones differ", what)
+	}
 }

@@ -58,20 +58,23 @@ func BuildZones(cols []ColumnSlice, rows, zoneRows int) *Zones {
 	if zoneRows <= 0 {
 		zoneRows = DefaultZoneRows
 	}
-	ncols := len(cols)
-	parts := (rows + zoneRows - 1) / zoneRows
-	z := &Zones{ZoneRows: zoneRows, NCols: ncols, Z: make([]Zone, parts*ncols)}
-	for p := 0; p < parts; p++ {
-		lo := p * zoneRows
-		hi := lo + zoneRows
-		if hi > rows {
-			hi = rows
-		}
-		for j, c := range cols {
-			z.Z[p*ncols+j] = zoneOf(c, lo, hi)
+	z := &Zones{ZoneRows: zoneRows, NCols: len(cols), Z: make([]Zone, 0, (rows+zoneRows-1)/zoneRows*len(cols))}
+	z.extend(cols, rows)
+	return z
+}
+
+// extend appends the zones of every partition of cols' first rows rows
+// that z does not cover yet; the last may be partial.
+func (z *Zones) extend(cols []ColumnSlice, rows int) {
+	if z.NCols == 0 {
+		return
+	}
+	for lo := z.Parts() * z.ZoneRows; lo < rows; lo += z.ZoneRows {
+		hi := min(lo+z.ZoneRows, rows)
+		for _, c := range cols {
+			z.Z = append(z.Z, zoneOf(c, lo, hi))
 		}
 	}
-	return z
 }
 
 func zoneOf(c ColumnSlice, lo, hi int) Zone {

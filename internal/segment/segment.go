@@ -13,18 +13,14 @@ import (
 	"github.com/sampling-algebra/gus/internal/relation"
 )
 
-// Write serializes the relation's columnar snapshot (base plus any resident
-// tail, merged) to path in segment format, returning the bytes written. The
+// Write serializes the relation's columnar snapshot, with its dictionaries
+// and zone map, to path in segment format, returning the bytes written. The
 // file is written to a temporary sibling and renamed into place, so readers
 // never observe a half-written segment under a crash — they see either the
 // old file or the new one.
 func Write(path string, rel *relation.Relation) (int64, error) {
 	snap := rel.Snapshot()
 	schema := rel.Schema()
-	zones := snap.Zones
-	if zones == nil || zones.ZoneRows != relation.DefaultZoneRows || zones.NCols != len(snap.Cols) {
-		zones = relation.BuildZones(snap.Cols, snap.Rows, relation.DefaultZoneRows)
-	}
 
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -32,7 +28,7 @@ func Write(path string, rel *relation.Relation) (int64, error) {
 		return 0, err
 	}
 	w := &segWriter{w: bufio.NewWriterSize(f, 1<<16)}
-	w.writeAll(schema, snap, zones)
+	w.writeAll(schema, snap)
 	if w.err == nil {
 		w.err = w.w.Flush()
 	}
@@ -86,7 +82,8 @@ func (w *segWriter) align8() {
 	}
 }
 
-func (w *segWriter) writeAll(schema *relation.Schema, snap *relation.Snapshot, zones *relation.Zones) {
+func (w *segWriter) writeAll(schema *relation.Schema, snap *relation.Snapshot) {
+	zones := snap.Zones
 	// Header.
 	body := encodeHeaderBody(schema, snap.Rows, zones.ZoneRows)
 	w.bytes([]byte(headMagic))
@@ -143,11 +140,7 @@ func (w *segWriter) writeAll(schema *relation.Schema, snap *relation.Snapshot, z
 }
 
 func (w *segWriter) writeStringCol(c relation.ColumnSlice) {
-	codes, dict := c.Codes, c.Dict
-	if dict == nil {
-		// Snapshots always carry dictionaries; recover if handed a bare one.
-		codes, dict = relation.EncodeDict(c.Strs)
-	}
+	dict := c.Dict
 	var blobLen uint64
 	for _, s := range dict.Strs {
 		blobLen += uint64(len(s))
@@ -168,7 +161,7 @@ func (w *segWriter) writeStringCol(c relation.ColumnSlice) {
 	for _, h := range dict.Hashes {
 		w.u64(h)
 	}
-	for _, code := range codes {
+	for _, code := range c.Codes {
 		w.u32(uint32(code))
 	}
 	w.align8()

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -154,6 +155,58 @@ func TestAppendAfterOpen(t *testing.T) {
 	if err := tab.Rel.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAppendLeavesImageUnchanged: appends to a segment-backed table that
+// cross a zone boundary and add dictionary strings copy its columns to
+// the heap instead of writing into the image they alias, both for a
+// mapped file and for a heap image; a reopen reads the pre-append table.
+func TestAppendLeavesImageUnchanged(t *testing.T) {
+	r := sampleRelation(t, relation.DefaultZoneRows+5)
+	path := filepath.Join(t.TempDir(), "sample"+Ext)
+	if _, err := Write(path, r); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRows := func(rel *relation.Relation) {
+		for i := 0; i < relation.DefaultZoneRows; i++ {
+			rel.MustAppend(relation.Int(int64(-i)), relation.Float(float64(i)/3), relation.String_(fmt.Sprintf("new%d", i%3)))
+		}
+		if s := rel.Snapshot(); s.Rows != r.Len()+relation.DefaultZoneRows {
+			t.Fatalf("snapshot after appends has %d rows, want %d", s.Rows, r.Len()+relation.DefaultZoneRows)
+		}
+	}
+
+	tab, err := Open("sample", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	appendRows(tab.Rel)
+	if !bytes.Equal(tab.data, orig) {
+		t.Fatal("appends wrote into the mapped image")
+	}
+	heap := append([]byte(nil), orig...)
+	rel, err := Decode("sample", path, heap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRows(rel)
+	if !bytes.Equal(heap, orig) {
+		t.Fatal("appends wrote into the decoded heap image")
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, orig) {
+		t.Fatalf("segment file changed by appends (err=%v)", err)
+	}
+	re, err := Open("sample", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	assertEqualRelations(t, r, re.Rel)
 }
 
 func corruptAt(t *testing.T, path string, off int64) string {

@@ -258,15 +258,16 @@ func (s *Synopsis) Verify() error {
 // Bytes estimates the synopsis's resident footprint: 8 bytes per numeric
 // cell and lineage id, string lengths for string cells.
 func (s *Synopsis) Bytes() int64 {
-	n := s.Rel.Len()
+	snap := s.Rel.Snapshot()
+	n := snap.Rows
 	var b int64 = int64(n) * 8 // lineage ids
-	for j, c := range s.Rel.Schema().Columns() {
+	for _, c := range snap.Cols {
 		if c.Kind != relation.KindString {
 			b += int64(n) * 8
 			continue
 		}
-		for i := 0; i < n; i++ {
-			b += int64(len(s.Rel.Row(i)[j].AsString())) + 16
+		for _, v := range c.Strs {
+			b += int64(len(v)) + 16
 		}
 	}
 	return b

@@ -108,6 +108,14 @@ func TestBuildStratifiedRates(t *testing.T) {
 	if counts["A"] <= counts["B"] || counts["A"] <= counts["C"] {
 		t.Fatalf("boosted stratum not dominant: %v", counts)
 	}
+	// Bytes reads the typed string column; boxed rows are the oracle.
+	want := int64(s.Rel.Len()) * 16 // lineage ids and v
+	for i := 0; i < s.Rel.Len(); i++ {
+		want += int64(len(s.Rel.Row(i)[gi].AsString())) + 16
+	}
+	if got := s.Bytes(); got != want {
+		t.Fatalf("Bytes = %d, want %d", got, want)
+	}
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,9 @@
 // no parse, no copy), and attach individual segments at runtime through
 // AttachSegment or the `ATTACH SEGMENT '<path>'` statement. Segment-backed
 // tables behave exactly like resident ones — same queries, same
-// bit-identical results — and still accept appends: new rows land in a
-// resident tail and merge with the mapped base under snapshot isolation.
+// bit-identical results — and still accept appends under snapshot
+// isolation: the first copies the mapped columns to the heap, and the file
+// is never modified.
 package gus
 
 import (
@@ -68,7 +69,7 @@ func (s *segState) closeAll() error {
 type TableInfo struct {
 	// Name is the table's registered name.
 	Name string
-	// Rows is the current tuple count (segment base plus resident tail).
+	// Rows is the current tuple count, appended rows included.
 	Rows int
 	// Columns is the table's schema in column order.
 	Columns []Column

@@ -230,15 +230,15 @@ func (db *DB) synopsisInfosForLocked(table string) []SynopsisInfo {
 	return out
 }
 
-// maintainSynopses folds the just-appended last row of rel into every
-// synopsis over it. Called with db.mu write-held, after a successful
+// maintainSynopses folds tup, the just-appended last row of rel, into
+// every synopsis over it. Called with db.mu write-held, after a successful
 // append.
-func (db *DB) maintainSynopses(rel *relation.Relation) error {
+func (db *DB) maintainSynopses(rel *relation.Relation, tup relation.Tuple) error {
 	if db.syns.Len() == 0 {
 		return nil
 	}
 	n := rel.Len()
-	return db.syns.OnAppend(rel.Name(), rel.ID(n-1), rel.Row(n-1), n)
+	return db.syns.OnAppend(rel.Name(), rel.ID(n-1), tup, n)
 }
 
 // ---------------------------------------------------------------------------
