@@ -8,8 +8,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -20,24 +22,36 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "gusgen:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args as gusgen's command line, writes the tables they ask
+// for, and reports each file written to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gusgen", flag.ContinueOnError)
 	var (
-		sf     = flag.Float64("sf", 0.001, "TPC-H scale factor (1.0 ≈ 1.5M orders)")
-		orders = flag.Int("orders", 0, "explicit orders cardinality (overrides -sf)")
-		seed   = flag.Uint64("seed", 42, "generator seed")
-		skew   = flag.Float64("skew", 0, "price skew knob (0 = uniform)")
-		out    = flag.String("out", ".", "output directory")
-		format  = flag.String("format", "csv", "output format: csv or segment (columnar *.gusseg files with zone maps)")
-		synRate = flag.Float64("synopsis", 0, "also materialize a Bernoulli synopsis of each table at this rate, written as *.gussyn segments plus a synopses.json manifest (requires -format segment; load with gus.LoadSynopses)")
+		sf      = fs.Float64("sf", 0.001, "TPC-H scale factor (1.0 ≈ 1.5M orders)")
+		orders  = fs.Int("orders", 0, "explicit orders cardinality (overrides -sf)")
+		seed    = fs.Uint64("seed", 42, "generator seed")
+		skew    = fs.Float64("skew", 0, "price skew knob (0 = uniform)")
+		out     = fs.String("out", ".", "output directory")
+		format  = fs.String("format", "csv", "output format: csv or segment (columnar *.gusseg files with zone maps)")
+		synRate = fs.Float64("synopsis", 0, "also materialize a Bernoulli synopsis of each table at this rate, written as *.gussyn segments plus a synopses.json manifest (requires -format segment; load with gus.LoadSynopses)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *format != "csv" && *format != "segment" {
-		fail(fmt.Errorf("unknown -format %q (csv or segment)", *format))
+		return fmt.Errorf("unknown -format %q (csv or segment)", *format)
 	}
 	if *synRate != 0 && *format != "segment" {
-		fail(fmt.Errorf("-synopsis requires -format segment"))
+		return fmt.Errorf("-synopsis requires -format segment")
 	}
 	if *synRate < 0 || *synRate > 1 {
-		fail(fmt.Errorf("-synopsis rate %v outside (0,1]", *synRate))
+		return fmt.Errorf("-synopsis rate %v outside (0,1]", *synRate)
 	}
 
 	cfg := tpch.ScaleFactor(*sf, *seed)
@@ -49,52 +63,53 @@ func main() {
 	cfg.PriceSkew = *skew
 	tables, err := tpch.Generate(cfg)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fail(err)
+		return err
 	}
 	for _, rel := range tables.All() {
 		if *format == "segment" {
 			path := filepath.Join(*out, rel.Name()+segment.Ext)
 			n, err := segment.Write(path, rel)
 			if err != nil {
-				fail(err)
+				return err
 			}
-			fmt.Printf("wrote %s (%d rows, %d bytes)\n", path, rel.Len(), n)
+			fmt.Fprintf(stdout, "wrote %s (%d rows, %d bytes)\n", path, rel.Len(), n)
 			continue
 		}
 		path := filepath.Join(*out, rel.Name()+".csv")
 		if err := rel.SaveCSVFile(path); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("wrote %s (%d rows)\n", path, rel.Len())
+		fmt.Fprintf(stdout, "wrote %s (%d rows)\n", path, rel.Len())
 	}
 	if *synRate > 0 {
 		var manifests []synopsis.Manifest
 		for _, rel := range tables.All() {
 			s, err := synopsis.Build(rel, synopsis.Spec{Name: rel.Name() + "_syn", Rate: *synRate, Seed: *seed}, 0)
 			if err != nil {
-				fail(err)
+				return err
 			}
 			path := filepath.Join(*out, s.Name+gus.SynopsisExt)
 			n, err := segment.Write(path, s.Rel)
 			if err != nil {
-				fail(err)
+				return err
 			}
 			manifests = append(manifests, s.Manifest())
-			fmt.Printf("wrote %s (%d of %d rows at rate %g, %d bytes)\n", path, s.Rel.Len(), rel.Len(), *synRate, n)
+			fmt.Fprintf(stdout, "wrote %s (%d of %d rows at rate %g, %d bytes)\n", path, s.Rel.Len(), rel.Len(), *synRate, n)
 		}
 		data, err := json.MarshalIndent(manifests, "", "  ")
 		if err != nil {
-			fail(err)
+			return err
 		}
 		mpath := filepath.Join(*out, gus.SynopsisManifest)
 		if err := os.WriteFile(mpath, append(data, '\n'), 0o644); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("wrote %s (%d synopses)\n", mpath, len(manifests))
+		fmt.Fprintf(stdout, "wrote %s (%d synopses)\n", mpath, len(manifests))
 	}
+	return nil
 }
 
 func max(a, b int) int {
@@ -102,9 +117,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "gusgen:", err)
-	os.Exit(1)
 }

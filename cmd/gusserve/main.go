@@ -719,7 +719,6 @@ func fptr(v float64) *float64 {
 	return &v
 }
 
-
 func toStreamUpdate(u gus.Update, qid string, start time.Time) StreamUpdate {
 	out := StreamUpdate{
 		QueryID:         qid,

@@ -80,7 +80,7 @@
 // other vet pass. `make lint` wraps the two commands.
 //
 // Analyzer tests live under testdata/src/<pkg> and use the analysistest
-// convention: `// want `regexp`` comments mark expected findings, and
-// RunTest checks both directions (every finding expected, every
-// expectation found).
+// convention: a "// want" comment holding a back-quoted regexp marks an
+// expected finding, and RunTest checks both directions (every finding
+// expected, every expectation found).
 package analysis

@@ -24,7 +24,7 @@ Use-after-release: after b.Release() (receiver type batch.Batch), any
 further use of b in the function is flagged — Release poisons the batch
 and recycles its buffers, so later reads see recycled memory. Releases
 inside a branch that terminates (returns/panics) do not poison the
-fall-through path; `+"`defer b.Release()`"+` is always safe.
+fall-through path; ` + "`defer b.Release()`" + ` is always safe.
 
 Pool leaks: a variable assigned from a same-package pool getter (a
 function whose body calls .Get on a sync.Pool or batch.SlicePool) must be mentioned in

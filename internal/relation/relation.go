@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"github.com/sampling-algebra/gus/internal/lineage"
@@ -106,9 +107,9 @@ type Relation struct {
 	mode    string // StorageResident or StorageSegment
 	cols    []ColumnSlice
 	ids     []lineage.TupleID
-	dictIdx []map[string]int32 // per string column: value → dictionary code, built on first append
-	zones   Zones              // sealed zones of the complete partitions
-	nextID  lineage.TupleID
+	dictIdx []map[string]int32       // per string column: value → dictionary code, built on first append
+	zones   Zones                    // sealed zones of the complete partitions
+	nextID  lineage.TupleID          // next auto-ID; 0 until a snapshot-born relation's first append computes it
 	snap    atomic.Pointer[Snapshot] // cached view; nil after appends
 }
 
@@ -163,11 +164,9 @@ func FromSnapshot(name string, schema *Schema, snap *Snapshot, mode string) (*Re
 		r.mode = mode
 	}
 	r.ids = snap.IDs[:snap.Rows:snap.Rows]
-	for _, id := range r.ids {
-		if id >= r.nextID {
-			r.nextID = id + 1
-		}
-	}
+	// The next auto-ID is max(IDs)+1; finding it reads every ID, which a
+	// mapped image should not pay for at open, so the first append does.
+	r.nextID = 0
 	if z := snap.Zones; z != nil && z.ZoneRows == DefaultZoneRows && z.NCols == schema.Len() {
 		// Reuse the complete partitions' zones; the writer seals the rest.
 		if sealed := snap.Rows / DefaultZoneRows * z.NCols; sealed <= len(z.Z) {
@@ -220,20 +219,62 @@ func (r *Relation) Row(i int) Tuple {
 // ID returns the lineage ID of tuple i.
 func (r *Relation) ID(i int) lineage.TupleID { return r.ids[i] }
 
+// Grow reserves room for n more rows in every column and the lineage-ID
+// column, like slices.Grow, so that a caller who knows its row count
+// appends without the columns growing by repeated copying. A
+// segment-backed relation's columns move to the heap here rather than at
+// its first append.
+func (r *Relation) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	for j := range r.cols {
+		c := &r.cols[j]
+		switch c.Kind {
+		case KindInt:
+			c.Ints = slices.Grow(c.Ints, n)
+		case KindFloat:
+			c.Floats = slices.Grow(c.Floats, n)
+		default:
+			c.Codes = slices.Grow(c.Codes, n)
+			c.Strs = slices.Grow(c.Strs, n)
+		}
+	}
+	r.ids = slices.Grow(r.ids, n)
+}
+
 // Append adds a tuple with an automatically assigned sequential ID.
 func (r *Relation) Append(t Tuple) error {
+	r.resolveNextID()
 	id := r.nextID
 	r.nextID++
 	return r.AppendWithID(id, t)
 }
 
+// resolveNextID computes the next auto-ID of a relation born from a
+// snapshot, which FromSnapshot leaves unknown: one past the largest ID,
+// or 1 for an empty table.
+func (r *Relation) resolveNextID() {
+	if r.nextID != 0 {
+		return
+	}
+	r.nextID = 1
+	for _, id := range r.ids {
+		if id >= r.nextID {
+			r.nextID = id + 1
+		}
+	}
+}
+
 // AppendWithID adds a tuple with a caller-chosen lineage ID (e.g. a
 // primary-key encoding like l_orderkey*10+l_linenumber from §6.2).
-// IDs must be unique; uniqueness is the caller's contract and is verified
-// lazily by Validate. Each value is written into its typed column, and a
-// partition the row completes has its zones sealed here, so Snapshot
-// computes only the partial tail partition's.
+// IDs must be unique. That is the caller's contract, not checked here:
+// CSV loading runs Validate, and tpch's IDs are unique by construction.
+// Each value is written into its typed column, and a partition the row
+// completes has its zones sealed here, so Snapshot computes only the
+// partial tail partition's.
 func (r *Relation) AppendWithID(id lineage.TupleID, t Tuple) error {
+	r.resolveNextID()
 	if len(t) != r.schema.Len() {
 		return fmt.Errorf("relation %s: tuple has %d values, schema has %d columns", r.name, len(t), r.schema.Len())
 	}
@@ -263,7 +304,11 @@ func (r *Relation) AppendWithID(id lineage.TupleID, t Tuple) error {
 	if n := len(r.ids); n%DefaultZoneRows == 0 {
 		r.zones.extend(r.cols, n)
 	}
-	r.snap.Store(nil)
+	if r.snap.Load() != nil {
+		// Appends are serialized against readers, so loading first is
+		// safe, and it keeps the atomic store off the bulk-load path.
+		r.snap.Store(nil)
+	}
 	return nil
 }
 

@@ -407,3 +407,70 @@ func requireSameSnapshot(t *testing.T, what string, got, want *Snapshot) {
 		t.Fatalf("%s: zones differ", what)
 	}
 }
+
+// TestGrowKeepsRowsAndSnapshots: Grow reserves capacity without changing
+// the table, appends up to that capacity do not move the columns, and a
+// snapshot-born relation's image is left as it was.
+func TestGrowKeepsRowsAndSnapshots(t *testing.T) {
+	r := testRelation(t)
+	old := r.Snapshot()
+	want := cloneSnapshot(old)
+	r.Grow(100)
+	if r.Len() != 3 || r.Snapshot() != old {
+		t.Fatalf("Grow changed the table: Len %d, snapshot kept %v", r.Len(), r.Snapshot() == old)
+	}
+	if cap(r.ids) < 103 || cap(r.cols[0].Ints) < 103 || cap(r.cols[1].Floats) < 103 ||
+		cap(r.cols[2].Codes) < 103 || cap(r.cols[2].Strs) < 103 {
+		t.Fatal("Grow did not reserve 100 more rows")
+	}
+	ints := &r.cols[0].Ints[0]
+	for i := 0; i < 100; i++ {
+		r.MustAppend(Int(int64(i)), Float(1), String_("O"))
+	}
+	if &r.cols[0].Ints[0] != ints {
+		t.Fatal("appends within the reserved room moved the column")
+	}
+	requireSameSnapshot(t, "snapshot after Grow and appends", old, want)
+
+	img := cloneSnapshot(old)
+	born, err := FromSnapshot("b", r.Schema(), img, StorageSegment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	born.Grow(10)
+	born.MustAppend(Int(9), Float(9), String_("N"))
+	if born.Len() != 4 || born.ID(3) != 4 {
+		t.Fatalf("grown relation: Len %d, appended ID %d", born.Len(), born.ID(3))
+	}
+	requireSameSnapshot(t, "image under a grown relation", img, want)
+}
+
+// TestFromSnapshotDefersNextID: opening a snapshot reads no lineage ID;
+// the first append finds the largest wherever it sits.
+func TestFromSnapshotDefersNextID(t *testing.T) {
+	src := MustNew("src", MustSchema(Column{"k", KindInt}))
+	for _, id := range []lineage.TupleID{5, 70, 3} {
+		if err := src.AppendWithID(id, Tuple{Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := FromSnapshot("r", src.Schema(), src.Snapshot(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.nextID != 0 {
+		t.Fatalf("FromSnapshot computed next ID %d at open", r.nextID)
+	}
+	r.MustAppend(Int(2))
+	if id := r.ID(3); id != 71 {
+		t.Fatalf("first auto-ID %d, want 71", id)
+	}
+	empty, err := FromSnapshot("e", src.Schema(), MustNew("e", src.Schema()).Snapshot(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty.MustAppend(Int(3))
+	if id := empty.ID(0); id != 1 {
+		t.Fatalf("first auto-ID of an empty image %d, want 1", id)
+	}
+}

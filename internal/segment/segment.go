@@ -27,7 +27,7 @@ func Write(path string, rel *relation.Relation) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	w := &segWriter{w: bufio.NewWriterSize(f, 1<<16)}
+	w := &segWriter{w: bufio.NewWriterSize(f, 1<<16), native: hostLittleEndian}
 	w.writeAll(schema, snap)
 	if w.err == nil {
 		w.err = w.w.Flush()
@@ -54,6 +54,11 @@ type segWriter struct {
 	off int64
 	err error
 	buf [8]byte
+	// native writes fixed-width sections as the column's own bytes, which
+	// is their little-endian encoding on a little-endian host; otherwise
+	// they are encoded a chunk at a time into chunk.
+	native bool
+	chunk  []byte
 }
 
 func (w *segWriter) bytes(b []byte) {
@@ -82,6 +87,42 @@ func (w *segWriter) align8() {
 	}
 }
 
+// encodeChunk is the number of values the non-native path encodes per
+// write.
+const encodeChunk = 4096
+
+// writeWords writes v as a section of little-endian words, the inverse of
+// the decoder's as* helpers: the words' own bytes when w is native,
+// otherwise encodeChunk words at a time with appendLE.
+func writeWords[T uint32 | uint64](w *segWriter, v []T, appendLE func([]byte, T) []byte) {
+	if w.native {
+		size := int(unsafe.Sizeof(T(0)))
+		w.bytes(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*size))
+		return
+	}
+	for len(v) > 0 {
+		n := min(len(v), encodeChunk)
+		b := w.chunk[:0]
+		for _, x := range v[:n] {
+			b = appendLE(b, x)
+		}
+		w.chunk = b
+		w.bytes(b)
+		v = v[n:]
+	}
+}
+
+// words64Of reinterprets a slice of 8-byte values as their bit patterns
+// (math.Float64bits for floats), aliasing s.
+func words64Of[T int64 | float64 | lineage.TupleID](s []T) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+}
+
+// words32Of reinterprets int32 string codes as uint32 words, aliasing s.
+func words32Of(s []int32) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+}
+
 func (w *segWriter) writeAll(schema *relation.Schema, snap *relation.Snapshot) {
 	zones := snap.Zones
 	// Header.
@@ -97,13 +138,9 @@ func (w *segWriter) writeAll(schema *relation.Schema, snap *relation.Snapshot) {
 	for _, c := range snap.Cols {
 		switch c.Kind {
 		case relation.KindInt:
-			for _, v := range c.Ints {
-				w.u64(uint64(v))
-			}
+			writeWords(w, words64Of(c.Ints), binary.LittleEndian.AppendUint64)
 		case relation.KindFloat:
-			for _, v := range c.Floats {
-				w.u64(math.Float64bits(v))
-			}
+			writeWords(w, words64Of(c.Floats), binary.LittleEndian.AppendUint64)
 		default:
 			w.writeStringCol(c)
 		}
@@ -111,9 +148,7 @@ func (w *segWriter) writeAll(schema *relation.Schema, snap *relation.Snapshot) {
 	}
 
 	// Lineage IDs.
-	for _, id := range snap.IDs {
-		w.u64(uint64(id))
-	}
+	writeWords(w, words64Of(snap.IDs), binary.LittleEndian.AppendUint64)
 	w.align8()
 
 	// Zone-map footer, CRC'd so a reader trusts skipping decisions.
@@ -141,29 +176,22 @@ func (w *segWriter) writeAll(schema *relation.Schema, snap *relation.Snapshot) {
 
 func (w *segWriter) writeStringCol(c relation.ColumnSlice) {
 	dict := c.Dict
+	offs := make([]uint32, len(dict.Strs)+1)
 	var blobLen uint64
-	for _, s := range dict.Strs {
+	for i, s := range dict.Strs {
+		offs[i+1] = offs[i] + uint32(len(s))
 		blobLen += uint64(len(s))
 	}
 	w.u64(uint64(len(dict.Strs)))
 	w.u64(blobLen)
-	var off uint32
-	for _, s := range dict.Strs {
-		w.u32(off)
-		off += uint32(len(s))
-	}
-	w.u32(off)
+	writeWords(w, offs, binary.LittleEndian.AppendUint32)
 	w.align8()
 	for _, s := range dict.Strs {
 		w.bytes([]byte(s))
 	}
 	w.align8()
-	for _, h := range dict.Hashes {
-		w.u64(h)
-	}
-	for _, code := range c.Codes {
-		w.u32(uint32(code))
-	}
+	writeWords(w, dict.Hashes, binary.LittleEndian.AppendUint64)
+	writeWords(w, words32Of(c.Codes), binary.LittleEndian.AppendUint32)
 	w.align8()
 }
 

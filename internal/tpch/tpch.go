@@ -9,10 +9,16 @@
 // in TPC-H's ranges — which preserves the join selectivities and aggregate
 // shapes the estimator's behaviour depends on. Lineitem lineage IDs use the
 // paper's own §6.2 encoding: l_orderkey·10 + l_linenumber.
+//
+// Generated lineage IDs are unique by construction (the row number for
+// customer, part and orders; o·10+ln with ln ≤ 7 for lineitem), so
+// Generate does not re-check them; the package's tests do. Data loaded
+// from CSV is still validated on load.
 package tpch
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/sampling-algebra/gus/internal/lineage"
 	"github.com/sampling-algebra/gus/internal/relation"
@@ -77,6 +83,7 @@ func Generate(cfg Config) (*Tables, error) {
 		relation.Column{Name: "c_nationkey", Kind: relation.KindInt},
 		relation.Column{Name: "c_acctbal", Kind: relation.KindFloat},
 	))
+	customer.Grow(cfg.Customers)
 	for i := 1; i <= cfg.Customers; i++ {
 		if err := customer.AppendWithID(lineage.TupleID(i), relation.Tuple{
 			relation.Int(int64(i)),
@@ -91,6 +98,7 @@ func Generate(cfg Config) (*Tables, error) {
 		relation.Column{Name: "p_partkey", Kind: relation.KindInt},
 		relation.Column{Name: "p_retailprice", Kind: relation.KindFloat},
 	))
+	part.Grow(cfg.Parts)
 	for i := 1; i <= cfg.Parts; i++ {
 		if err := part.AppendWithID(lineage.TupleID(i), relation.Tuple{
 			relation.Int(int64(i)),
@@ -114,6 +122,8 @@ func Generate(cfg Config) (*Tables, error) {
 		relation.Column{Name: "l_discount", Kind: relation.KindFloat},
 		relation.Column{Name: "l_tax", Kind: relation.KindFloat},
 	))
+	orders.Grow(cfg.Orders)
+	lineitem.Grow(lineitemRows(cfg.Orders))
 	for o := 1; o <= cfg.Orders; o++ {
 		cust := rng.Intn(cfg.Customers) + 1
 		lines := rng.Intn(7) + 1 // TPC-H: 1..7 lineitems per order
@@ -150,12 +160,14 @@ func Generate(cfg Config) (*Tables, error) {
 			return nil, err
 		}
 	}
+	return &Tables{Lineitem: lineitem, Orders: orders, Customer: customer, Part: part}, nil
+}
 
-	t := &Tables{Lineitem: lineitem, Orders: orders, Customer: customer, Part: part}
-	for _, r := range t.All() {
-		if err := r.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+// lineitemRows is the lineitem capacity Generate reserves for the given
+// orders: each order has 1–7 lines uniformly, mean 4 and variance 4, so the
+// total is 4·orders ± 2√orders. A 10σ margin is never overrun in practice,
+// and appends past it would only grow the columns; 7·orders is the hard
+// ceiling.
+func lineitemRows(orders int) int {
+	return min(7*orders, 4*orders+20*int(math.Ceil(math.Sqrt(float64(orders)))))
 }

@@ -176,3 +176,42 @@ func TestPriceSkewWidensTail(t *testing.T) {
 		t.Error("skew knob did not widen the price tail")
 	}
 }
+
+// TestGenerateIDsUnique: Generate does not validate its tables, because
+// its lineage IDs are unique by construction; this holds it to that over
+// several seeds, a one-order table, a larger one and a skewed one.
+func TestGenerateIDsUnique(t *testing.T) {
+	configs := []Config{
+		{Orders: 1, Customers: 1, Parts: 1},
+		{Orders: 2000, Customers: 200, Parts: 250},
+		{Orders: 2000, Customers: 200, Parts: 250, PriceSkew: 5},
+	}
+	for _, cfg := range configs {
+		for seed := uint64(1); seed <= 4; seed++ {
+			cfg.Seed = seed
+			tb, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range tb.All() {
+				if err := r.Validate(); err != nil {
+					t.Errorf("%+v: %v", cfg, err)
+				}
+			}
+			if n := tb.Lineitem.Len(); n < cfg.Orders || n > lineitemRows(cfg.Orders) {
+				t.Errorf("%+v: %d lineitems outside [%d, %d]", cfg, n, cfg.Orders, lineitemRows(cfg.Orders))
+			}
+		}
+	}
+}
+
+// BenchmarkGenerate times tpch.generate_s: the four tables at 250 k
+// orders, the benchmark's scale, with gusgen's -orders cardinalities.
+func BenchmarkGenerate(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(Config{Orders: 250000, Customers: 25000, Parts: 31250, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N), "generate_s")
+}
